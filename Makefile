@@ -1,4 +1,4 @@
-.PHONY: all build test fmt smoke-serve smoke-pool smoke-chaos smoke-cluster smoke-flight smoke-paged smoke-tune smoke-migrate smoke-regress smoke-trace ci clean
+.PHONY: all build test fmt smoke-serve smoke-pool smoke-chaos smoke-cluster smoke-flight smoke-paged smoke-tune smoke-migrate smoke-regress smoke-trace smoke-perfbench ci clean
 
 all: build
 
@@ -142,6 +142,16 @@ smoke-trace: build
 	dune exec bin/parlooper_cli.exe -- recorder check /tmp/parlooper-traces
 	@echo "smoke-trace: /tmp/parlooper-traces ok"
 
+# Benchmark smoke (~15 s): one short untraced run of each perfbench
+# workload. Every run checks its outputs outside the timed window —
+# decode bit-for-bit against Llm.forward_full, kernels against
+# lib/tensor/reference.ml (and 2-thread == 1-thread GEMM) — and run.py
+# exits non-zero on a mismatch or a failed build or run.
+smoke-perfbench: build
+	python3 perfbench/run.py --workload decode --seed 1 --seconds 3 --trace 0
+	python3 perfbench/run.py --workload kernels --seed 1 --seconds 3 --trace 0
+	@echo "smoke-perfbench: decode and kernels outputs correct"
+
 # Single gate run by CI and before every commit: formatting must be
 # canonical (dune files; ocamlformat is not in the pinned toolchain),
 # everything must build, the full tier-1 suite must pass, the serving
@@ -155,9 +165,10 @@ smoke-trace: build
 # and the model-guided tuner must match exhaustive search cheaply while
 # the online spec cache demonstrably serves, tunes, and hot-swaps in
 # the serve path, the committed perf baseline must hold within its
-# per-metric tolerances, and a tail-sampled serve run must yield a
-# complete causal timeline for its worst retained TTFT exemplar.
-ci: fmt build test smoke-serve smoke-pool smoke-chaos smoke-cluster smoke-flight smoke-paged smoke-migrate smoke-tune smoke-regress smoke-trace
+# per-metric tolerances, a tail-sampled serve run must yield a
+# complete causal timeline for its worst retained TTFT exemplar, and
+# both benchmark workloads must produce correct outputs.
+ci: fmt build test smoke-serve smoke-pool smoke-chaos smoke-cluster smoke-flight smoke-paged smoke-migrate smoke-tune smoke-regress smoke-trace smoke-perfbench
 
 clean:
 	dune clean

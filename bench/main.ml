@@ -136,184 +136,32 @@ let write_bench_json path =
    Any violation prints a FAIL line and the process exits non-zero, so
    `make smoke-regress` can gate a change on a committed baseline. *)
 
-type json =
-  | Jnull
-  | Jbool of bool
-  | Jnum of float
-  | Jstr of string
-  | Jarr of json list
-  | Jobj of (string * json) list
-
-exception Bad_json of string
-
-(* minimal recursive-descent reader — enough for the bench schema (and
-   strict about it); not a general JSON library *)
-let parse_json (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Bad_json (Printf.sprintf "%s at byte %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      advance ();
-      skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected %c" c)
-  in
-  let lit word v =
-    if !pos + String.length word <= n
-       && String.sub s !pos (String.length word) = word
-    then begin
-      pos := !pos + String.length word;
-      v
-    end
-    else fail ("expected " ^ word)
-  in
-  let string_body () =
-    let b = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string"
-      else
-        let c = s.[!pos] in
-        advance ();
-        if c = '"' then Buffer.contents b
-        else if c = '\\' then begin
-          (if !pos >= n then fail "unterminated escape"
-           else
-             let e = s.[!pos] in
-             advance ();
-             match e with
-             | '"' -> Buffer.add_char b '"'
-             | '\\' -> Buffer.add_char b '\\'
-             | '/' -> Buffer.add_char b '/'
-             | 'n' -> Buffer.add_char b '\n'
-             | 't' -> Buffer.add_char b '\t'
-             | 'r' -> Buffer.add_char b '\r'
-             | 'b' -> Buffer.add_char b '\b'
-             | 'f' -> Buffer.add_char b '\012'
-             | 'u' ->
-               if !pos + 4 > n then fail "truncated \\u escape"
-               else begin
-                 (* bench strings are ASCII; keep the escape verbatim *)
-                 Buffer.add_string b ("\\u" ^ String.sub s !pos 4);
-                 pos := !pos + 4
-               end
-             | _ -> fail "unknown escape");
-          go ()
-        end
-        else begin
-          Buffer.add_char b c;
-          go ()
-        end
-    in
-    go ()
-  in
-  let number () =
-    let start = !pos in
-    let is_num_char c =
-      (c >= '0' && c <= '9')
-      || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E'
-    in
-    while !pos < n && is_num_char s.[!pos] do
-      advance ()
-    done;
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> Jnum f
-    | None -> fail "malformed number"
-  in
-  let rec value () =
-    skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '"' ->
-      advance ();
-      Jstr (string_body ())
-    | Some '{' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some '}' then begin
-        advance ();
-        Jobj []
-      end
-      else begin
-        let rec members acc =
-          skip_ws ();
-          expect '"';
-          let k = string_body () in
-          skip_ws ();
-          expect ':';
-          let v = value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            members ((k, v) :: acc)
-          | Some '}' ->
-            advance ();
-            Jobj (List.rev ((k, v) :: acc))
-          | _ -> fail "expected , or } in object"
-        in
-        members []
-      end
-    | Some '[' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some ']' then begin
-        advance ();
-        Jarr []
-      end
-      else begin
-        let rec elements acc =
-          let v = value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            elements (v :: acc)
-          | Some ']' ->
-            advance ();
-            Jarr (List.rev (v :: acc))
-          | _ -> fail "expected , or ] in array"
-        in
-        elements []
-      end
-    | Some 't' -> lit "true" (Jbool true)
-    | Some 'f' -> lit "false" (Jbool false)
-    | Some 'n' -> lit "null" Jnull
-    | Some _ -> number ()
-  in
-  let v = value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing bytes after value";
-  v
+module J = Telemetry.Json_check
 
 (* baseline entry name -> metric name -> value *)
-let baseline_metrics (j : json) : (string * (string * float) list) list =
-  let obj = function Jobj kv -> kv | _ -> raise (Bad_json "expected object") in
+let baseline_metrics (j : J.json) : (string * (string * float) list) list =
+  let obj = function
+    | J.Jobj kv -> kv
+    | _ -> raise (J.Bad_json "expected object")
+  in
   let benches =
     match List.assoc_opt "benches" (obj j) with
-    | Some (Jarr l) -> l
-    | _ -> raise (Bad_json "no benches array")
+    | Some (J.Jarr l) -> l
+    | _ -> raise (J.Bad_json "no benches array")
   in
   List.map
     (fun e ->
       let kv = obj e in
       let name =
         match List.assoc_opt "name" kv with
-        | Some (Jstr s) -> s
-        | _ -> raise (Bad_json "bench entry without a name")
+        | Some (J.Jstr s) -> s
+        | _ -> raise (J.Bad_json "bench entry without a name")
       in
       let metrics =
         match List.assoc_opt "metrics" kv with
-        | Some (Jobj ms) ->
+        | Some (J.Jobj ms) ->
           List.filter_map
-            (fun (k, v) -> match v with Jnum f -> Some (k, f) | _ -> None)
+            (fun (k, v) -> match v with J.Jnum f -> Some (k, f) | _ -> None)
             ms
         | _ -> []
       in
@@ -349,13 +197,13 @@ let compare_with_baseline path =
       let n = in_channel_length ic in
       let s = really_input_string ic n in
       close_in ic;
-      parse_json s
+      J.parse s
     with
     | j -> baseline_metrics j
     | exception Sys_error msg ->
       Printf.eprintf "cannot read baseline %s: %s\n" path msg;
       exit 1
-    | exception Bad_json msg ->
+    | exception J.Bad_json msg ->
       Printf.eprintf "baseline %s is not valid bench JSON: %s\n" path msg;
       exit 1
   in

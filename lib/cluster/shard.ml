@@ -7,8 +7,8 @@
 let engine plan =
   { Serve.Scheduler.extend = (fun cache emb -> Llm.extend_tp plan cache emb) }
 
-(* [shards <= 1] keeps the classic single-team path (with [nthreads]
-   inside the kernels); [shards > 1] builds a tp plan or explains why the
+(* [shards <= 1] is the 1-shard plan, run by [Llm.extend] so [nthreads]
+   reaches the kernels; [shards > 1] builds a tp plan or explains why the
    model shape cannot be split that way. *)
 let engine_for ?nthreads llm ~shards =
   if shards <= 1 then

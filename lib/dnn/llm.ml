@@ -317,26 +317,61 @@ let add_inplace a b =
   Tpp_binary.exec Tpp_binary.Add ~bcast:Tpp_binary.Full ~a:(Tensor.view2d a)
     ~b:(Tensor.view2d b) ~out:(Tensor.view2d a)
 
-(* pre-norm decoder block with a cache: x += Attn(LN1(x)); x += FFN(LN2(x)) *)
-let decoder_block ?nthreads cache (layer : layer) layer_idx x =
-  let n = (Tensor.dims x).(0) in
-  let normed = layernorm layer.ln1_gamma layer.ln1_beta x in
-  let q, k_new, v_new = Attention.project ?nthreads layer.attention normed in
-  append_layer cache ~layer:layer_idx ~k_new ~v_new;
-  let k_all, v_all = layer_kv cache ~layer:layer_idx ~rows:(cache.len + n) in
-  let ctx =
-    Attention.attend ~causal:true ~heads:layer.attention.Attention.heads q
-      k_all v_all
-  in
-  let att = Fc.forward ?nthreads layer.attention.Attention.wo ctx in
-  add_inplace att x;
-  (* att now holds x + attention *)
-  let normed2 = layernorm layer.ln2_gamma layer.ln2_beta att in
-  let up = Fc.forward ?nthreads layer.ffn_up normed2 in
-  (match layer.ffn_gate with
+(* ---------- the decoder layer, run over a tensor-parallel plan ----------
+
+   A plan runs every decoder layer across [shards] team workers. Every
+   projection is column-split (split along its OUTPUT features): shard s
+   owns a contiguous, block-aligned slice of the output dimension and
+   computes it with the full input. [slices.(s).(i)] is shard s's slice of
+   layer i — a [layer] record whose projections keep only the owned
+   output rows, so an attention slice owns whole heads. The "all-reduce"
+   of Megatron-style row splits never happens — each float of every
+   intermediate tensor is produced by exactly one shard with the same
+   k-reduction order as the full GEMM, and shards only concatenate
+   (disjoint column writes), so every plan computes bit-identical outputs.
+   The price is that every shard reads the full input of each projection;
+   for the bandwidth-bound decode step the weights dominate traffic, and
+   those really are split 1/shards per shard.
+
+   The 1-shard plan's only slice of each layer is the layer itself: it
+   shares the model's weights, its regions run inline and its one slice
+   output is the whole output — unsharded execution is that plan. *)
+type tp_plan = { tpl : t; shards : int; slices : layer array array }
+
+let unsharded t = { tpl = t; shards = 1; slices = [| t.decoder |] }
+
+(* write [src : n x w] into columns [col0, col0+w) of [dst : n x W] —
+   the concat step; shards write disjoint slices, so no synchronization
+   beyond the enclosing region's join/barrier is needed. *)
+let scatter_cols ~dst ~col0 src =
+  let d = Tensor.dims src in
+  let n = d.(0) and w = d.(1) in
+  let wd = (Tensor.dims dst).(1) in
+  for r = 0 to n - 1 do
+    for c = 0 to w - 1 do
+      Tensor.set_flat dst ((r * wd) + col0 + c)
+        (Tensor.get_flat src ((r * w) + c))
+    done
+  done
+
+(* join the shards' [n x w] column slices, [parts.(s)] owning columns
+   [s*w, (s+1)*w); a single slice already is the whole output *)
+let concat_cols parts =
+  if Array.length parts = 1 then parts.(0)
+  else begin
+    let d = Tensor.dims parts.(0) in
+    let w = d.(1) in
+    let out = Tensor.create Datatype.F32 [| d.(0); Array.length parts * w |] in
+    Array.iteri (fun s p -> scatter_cols ~dst:out ~col0:(s * w) p) parts;
+    out
+  end
+
+(* the first FFN projection of [x] — up, or silu(gate) * up for SwiGLU *)
+let ffn_in ?nthreads (l : layer) x =
+  let up = Fc.forward ?nthreads l.ffn_up x in
+  (match l.ffn_gate with
   | Some gate_fc ->
-    (* SwiGLU: up := silu(gate) * up *)
-    let gate = Fc.forward ?nthreads gate_fc normed2 in
+    let gate = Fc.forward ?nthreads gate_fc x in
     let s = Tensor.create Datatype.F32 (Tensor.dims gate) in
     Tpp_unary.exec Tpp_unary.Sigmoid ~inp:(Tensor.view2d gate)
       ~out:(Tensor.view2d s);
@@ -345,20 +380,87 @@ let decoder_block ?nthreads cache (layer : layer) layer_idx x =
     Tpp_binary.exec Tpp_binary.Mul ~bcast:Tpp_binary.Full
       ~a:(Tensor.view2d up) ~b:(Tensor.view2d gate) ~out:(Tensor.view2d up)
   | None -> ());
-  let down = Fc.forward ?nthreads layer.ffn_down up in
+  up
+
+(* Pre-norm decoder block i with a cache: x += Attn(LN1(x)); x +=
+   FFN(LN2(x)), as three shard regions:
+   A) q/k/v column slices; (join) cache append + gather by the caller;
+   B) owned heads' attention into a shared ctx, barrier, wo column slice
+      over the full ctx;
+   C) up/gate column slices (+SwiGLU on the slice), barrier, down column
+      slice over the full intermediate.
+   LN, residuals and the cache run on the caller between regions. With
+   more than one shard the inner kernels run single-threaded — the
+   parallelism lives at the shard level, and nesting teams would fall
+   back to spawn-per-call; the 1-shard plan passes [nthreads] through. *)
+let decoder_block ?nthreads plan cache i x =
+  let shards = plan.shards in
+  let nthreads = if shards > 1 then Some 1 else nthreads in
+  let layer = plan.tpl.decoder.(i) in
+  let n = (Tensor.dims x).(0) in
+  let slice (ctx : Team.ctx) = plan.slices.(ctx.Team.tid).(i) in
+  (* one output slot per shard; [x] only holds the place until the
+     region stores the shard's slice *)
+  let slots () = Array.make shards x in
+  let normed = layernorm layer.ln1_gamma layer.ln1_beta x in
+  let qs = slots () and ks = slots () and vs = slots () in
+  Team.run ~nthreads:shards (fun ctx ->
+      let tid = ctx.Team.tid in
+      let q, k, v = Attention.project ?nthreads (slice ctx).attention normed in
+      qs.(tid) <- q;
+      ks.(tid) <- k;
+      vs.(tid) <- v);
+  let q = concat_cols qs in
+  (* cache append + gather run on the caller between regions — the block
+     table (or contig buffer) is storage the shards only ever read *)
+  append_layer cache ~layer:i ~k_new:(concat_cols ks) ~v_new:(concat_cols vs);
+  let k_all, v_all = layer_kv cache ~layer:i ~rows:(cache.len + n) in
+  let heads = layer.attention.Attention.heads in
+  let head_dim = layer.attention.Attention.head_dim in
+  let ctx_t = Tensor.create Datatype.F32 [| n; plan.tpl.cfg.hidden |] in
+  let atts = slots () in
+  Team.run ~nthreads:shards (fun ctx ->
+      let tid = ctx.Team.tid in
+      let a = (slice ctx).attention in
+      let per = a.Attention.wq.Fc.out_features / head_dim in
+      Attention.attend_range ~causal:true ~heads ~h0:(tid * per)
+        ~h1:((tid + 1) * per) ~out:ctx_t q k_all v_all;
+      ctx.Team.barrier ();
+      atts.(tid) <- Fc.forward ?nthreads a.Attention.wo ctx_t);
+  let att = concat_cols atts in
+  add_inplace att x;
+  (* att now holds x + attention *)
+  let normed2 = layernorm layer.ln2_gamma layer.ln2_beta att in
+  let up_all =
+    if shards = 1 then None
+    else
+      Some (Tensor.create Datatype.F32 [| n; plan.tpl.cfg.intermediate |])
+  in
+  let downs = slots () in
+  Team.run ~nthreads:shards (fun ctx ->
+      let tid = ctx.Team.tid in
+      let s = slice ctx in
+      let u = ffn_in ?nthreads s normed2 in
+      let up =
+        match up_all with
+        | None -> u
+        | Some up ->
+          scatter_cols ~dst:up ~col0:(tid * (Tensor.dims u).(1)) u;
+          ctx.Team.barrier ();
+          up
+      in
+      downs.(tid) <- Fc.forward ?nthreads s.ffn_down up);
+  let down = concat_cols downs in
   add_inplace down att;
   down
 
-let run_tokens ?nthreads t cache x =
-  let out =
-    Array.to_list t.decoder
-    |> List.mapi (fun i l -> (i, l))
-    |> List.fold_left
-         (fun acc (i, layer) -> decoder_block ?nthreads cache layer i acc)
-         x
-  in
+let run_tokens ?nthreads plan cache x =
+  let out = ref x in
+  for i = 0 to Array.length plan.tpl.decoder - 1 do
+    out := decoder_block ?nthreads plan cache i !out
+  done;
   cache.len <- cache.len + (Tensor.dims x).(0);
-  out
+  !out
 
 let last_row x =
   let d = Tensor.dims x in
@@ -371,19 +473,17 @@ let last_row x =
    order of every kernel is independent of the batch row count) — the
    property that makes prefix-hit suffix prefills and speculative
    verification exact, not approximate. *)
-let extend ?nthreads t cache x = run_tokens ?nthreads t cache x
+let extend ?nthreads t cache x = run_tokens ?nthreads (unsharded t) cache x
 
 let prefill ?nthreads t cache x =
   assert (cache.len = 0);
-  last_row (run_tokens ?nthreads t cache x)
+  last_row (extend ?nthreads t cache x)
 
 let decode_step ?nthreads t cache x =
   assert ((Tensor.dims x).(0) = 1);
-  run_tokens ?nthreads t cache x
+  extend ?nthreads t cache x
 
-let forward_full ?nthreads t x =
-  let cache = new_cache t in
-  run_tokens ?nthreads t cache x
+let forward_full ?nthreads t x = extend ?nthreads t (new_cache t) x
 
 (* a draft model sharing the target's first [layers] decoder layers (and
    weights) — the proposer half of speculative decoding. No copy: slices
@@ -392,40 +492,6 @@ let draft t ~layers =
   let layers = max 1 (min layers t.cfg.layers) in
   { cfg = { t.cfg with layers; name = t.cfg.name ^ "-draft" };
     decoder = Array.sub t.decoder 0 layers }
-
-(* ---------- tensor-parallel (sharded) execution ---------- *)
-
-(* Every projection in the decoder block is column-split (split along its
-   OUTPUT features): shard s owns a contiguous, block-aligned slice of the
-   output dimension and computes it with the full input. The "all-reduce"
-   of Megatron-style row splits never happens — each float of every
-   intermediate tensor is produced by exactly one shard with the same
-   k-reduction order as the unsharded GEMM, and shards only concatenate
-   (disjoint column writes into a shared tensor), so the sharded path is
-   bit-identical to the unsharded one by construction. The price is that
-   every shard reads the full input of each projection; for the
-   bandwidth-bound decode step the weights dominate traffic, and those
-   really are split 1/shards per shard. *)
-
-type tp_fc = { pfc : Fc.t; col0 : int }
-
-type tp_layer = {
-  tq : tp_fc;
-  tk : tp_fc;
-  tv : tp_fc;
-  two : tp_fc;
-  tup : tp_fc;
-  tgate : tp_fc option;
-  tdown : tp_fc;
-  th0 : int;  (** first attention head owned by this shard *)
-  th1 : int;  (** one past the last owned head *)
-}
-
-type tp_plan = {
-  tpl : t;
-  shards : int;
-  slices : tp_layer array array;  (** [shard].(layer) *)
-}
 
 (* rows [r0, r1) of an [out x in] projection: same block/spec/act/dtype,
    so the sliced GEMM tiles and reduces exactly like the full one. *)
@@ -439,11 +505,12 @@ let slice_fc (fc : Fc.t) r0 r1 =
     Tensor.init fc.Fc.dtype [| rows |] (fun i ->
         Tensor.get fc.Fc.bias [| r0 + i.(0) |])
   in
-  { pfc = { fc with Fc.out_features = rows; weights; bias }; col0 = r0 }
+  { fc with Fc.out_features = rows; weights; bias }
 
 let tp_plan t ~shards =
   let cfg = t.cfg in
   if shards < 1 then Error "tp_plan: shards must be >= 1"
+  else if shards = 1 then Ok (unsharded t)
   else if cfg.heads mod shards <> 0 then
     Error
       (Printf.sprintf "tp_plan: heads (%d) not divisible by shards (%d)"
@@ -474,19 +541,20 @@ let tp_plan t ~shards =
             block (%d)"
            ichunk ublock)
     else begin
-      let heads_per = cfg.heads / shards in
       let slice_layer s (layer : layer) =
         let h0 = s * hchunk and h1 = (s + 1) * hchunk in
         let i0 = s * ichunk and i1 = (s + 1) * ichunk in
-        { tq = slice_fc layer.attention.Attention.wq h0 h1;
-          tk = slice_fc layer.attention.Attention.wk h0 h1;
-          tv = slice_fc layer.attention.Attention.wv h0 h1;
-          two = slice_fc layer.attention.Attention.wo h0 h1;
-          tup = slice_fc layer.ffn_up i0 i1;
-          tgate = Option.map (fun g -> slice_fc g i0 i1) layer.ffn_gate;
-          tdown = slice_fc layer.ffn_down h0 h1;
-          th0 = s * heads_per;
-          th1 = (s + 1) * heads_per }
+        let a = layer.attention in
+        { layer with
+          attention =
+            { a with
+              Attention.wq = slice_fc a.Attention.wq h0 h1;
+              wk = slice_fc a.Attention.wk h0 h1;
+              wv = slice_fc a.Attention.wv h0 h1;
+              wo = slice_fc a.Attention.wo h0 h1 };
+          ffn_up = slice_fc layer.ffn_up i0 i1;
+          ffn_gate = Option.map (fun g -> slice_fc g i0 i1) layer.ffn_gate;
+          ffn_down = slice_fc layer.ffn_down h0 h1 }
       in
       Ok
         { tpl = t;
@@ -497,112 +565,11 @@ let tp_plan t ~shards =
     end
   end
 
-let tp_llm p = p.tpl
 let tp_shards p = p.shards
-
-(* write [src : n x w] into columns [col0, col0+w) of [dst : n x W] —
-   the concat step; shards write disjoint slices, so no synchronization
-   beyond the enclosing region's join/barrier is needed. *)
-let scatter_cols ~dst ~col0 src =
-  let d = Tensor.dims src in
-  let n = d.(0) and w = d.(1) in
-  let wd = (Tensor.dims dst).(1) in
-  for r = 0 to n - 1 do
-    for c = 0 to w - 1 do
-      Tensor.set_flat dst ((r * wd) + col0 + c)
-        (Tensor.get_flat src ((r * w) + c))
-    done
-  done
-
-(* One decoder block across [shards] team workers, three parallel regions:
-   A) q/k/v column slices; (join) cache append by the caller;
-   B) owned heads' attention into a shared ctx, barrier, wo column slice
-      over the full ctx;
-   C) up/gate column slices (+SwiGLU on the slice), barrier, down column
-      slice over the full intermediate. LN / residual / cache glue runs on
-      the caller between regions, identical to the unsharded block. All
-      inner kernels run with [~nthreads:1] — parallelism lives at the
-      shard level, and nesting teams would fall back to spawn-per-call. *)
-let decoder_block_tp plan cache entry_idx x =
-  let t = plan.tpl in
-  let layer = t.decoder.(entry_idx) in
-  let n = (Tensor.dims x).(0) in
-  let hidden = t.cfg.hidden in
-  let inter = t.cfg.intermediate in
-  let shards = plan.shards in
-  let sl ctx = plan.slices.(ctx.Team.tid).(entry_idx) in
-  let normed = layernorm layer.ln1_gamma layer.ln1_beta x in
-  let q = Tensor.create Datatype.F32 [| n; hidden |] in
-  let k_new = Tensor.create Datatype.F32 [| n; hidden |] in
-  let v_new = Tensor.create Datatype.F32 [| n; hidden |] in
-  Team.run ~nthreads:shards (fun ctx ->
-      let s = sl ctx in
-      scatter_cols ~dst:q ~col0:s.tq.col0 (Fc.forward ~nthreads:1 s.tq.pfc normed);
-      scatter_cols ~dst:k_new ~col0:s.tk.col0
-        (Fc.forward ~nthreads:1 s.tk.pfc normed);
-      scatter_cols ~dst:v_new ~col0:s.tv.col0
-        (Fc.forward ~nthreads:1 s.tv.pfc normed));
-  (* cache append + gather run on the caller between regions — the block
-     table (or contig buffer) is storage the shards only ever read *)
-  append_layer cache ~layer:entry_idx ~k_new ~v_new;
-  let k_all, v_all = layer_kv cache ~layer:entry_idx ~rows:(cache.len + n) in
-  let ctx_t = Tensor.create Datatype.F32 [| n; hidden |] in
-  let att = Tensor.create Datatype.F32 [| n; hidden |] in
-  Team.run ~nthreads:shards (fun ctx ->
-      let s = sl ctx in
-      Attention.attend_range ~causal:true
-        ~heads:layer.attention.Attention.heads ~h0:s.th0 ~h1:s.th1 ~out:ctx_t
-        q k_all v_all;
-      ctx.Team.barrier ();
-      scatter_cols ~dst:att ~col0:s.two.col0
-        (Fc.forward ~nthreads:1 s.two.pfc ctx_t));
-  add_inplace att x;
-  let normed2 = layernorm layer.ln2_gamma layer.ln2_beta att in
-  let up = Tensor.create Datatype.F32 [| n; inter |] in
-  let down = Tensor.create Datatype.F32 [| n; hidden |] in
-  Team.run ~nthreads:shards (fun ctx ->
-      let s = sl ctx in
-      let u = Fc.forward ~nthreads:1 s.tup.pfc normed2 in
-      (match s.tgate with
-      | Some g ->
-        let gate = Fc.forward ~nthreads:1 g.pfc normed2 in
-        let sig_t = Tensor.create Datatype.F32 (Tensor.dims gate) in
-        Tpp_unary.exec Tpp_unary.Sigmoid ~inp:(Tensor.view2d gate)
-          ~out:(Tensor.view2d sig_t);
-        Tpp_binary.exec Tpp_binary.Mul ~bcast:Tpp_binary.Full
-          ~a:(Tensor.view2d gate) ~b:(Tensor.view2d sig_t)
-          ~out:(Tensor.view2d gate);
-        Tpp_binary.exec Tpp_binary.Mul ~bcast:Tpp_binary.Full
-          ~a:(Tensor.view2d u) ~b:(Tensor.view2d gate)
-          ~out:(Tensor.view2d u)
-      | None -> ());
-      scatter_cols ~dst:up ~col0:s.tup.col0 u;
-      ctx.Team.barrier ();
-      scatter_cols ~dst:down ~col0:s.tdown.col0
-        (Fc.forward ~nthreads:1 s.tdown.pfc up));
-  add_inplace down att;
-  down
-
-let run_tokens_tp plan cache x =
-  let t = plan.tpl in
-  let out = ref x in
-  for i = 0 to Array.length t.decoder - 1 do
-    out := decoder_block_tp plan cache i !out
-  done;
-  cache.len <- cache.len + (Tensor.dims x).(0);
-  !out
 
 (* sharded batched extension — same contract (and bit-identity) as
    {!extend}, with the FLOPs split across the shard team *)
-let extend_tp plan cache x = run_tokens_tp plan cache x
-
-let prefill_tp plan cache x =
-  assert (cache.len = 0);
-  last_row (run_tokens_tp plan cache x)
-
-let decode_step_tp plan cache x =
-  assert ((Tensor.dims x).(0) = 1);
-  run_tokens_tp plan cache x
+let extend_tp plan cache x = run_tokens plan cache x
 
 let embed t ids =
   (* deterministic per-token-id synthetic embedding *)

@@ -126,34 +126,35 @@ val draft : t -> layers:int -> t
 
 (** {2 Tensor-parallel (sharded) execution}
 
-    A [tp_plan] column-splits every projection of every decoder layer
-    into [shards] contiguous, block-aligned output slices (attention
-    slices are additionally head-aligned). Each shard computes its output
-    columns with the full input and the same k-reduction order as the
-    unsharded GEMM; shards combine by concatenation (disjoint column
-    writes), never by summation — so [prefill_tp]/[decode_step_tp] are
-    bit-identical to {!prefill}/{!decode_step} on the same cache state.
-    Shards execute as one [Team] region per dependency phase of the
-    block, with inner kernels pinned to [~nthreads:1]. *)
+    One decoder-layer body serves every plan. A [tp_plan] column-splits
+    every projection of every decoder layer into [shards] contiguous,
+    block-aligned output slices (attention slices are additionally
+    head-aligned). Each shard computes its output columns with the full
+    input and the same k-reduction order as the whole GEMM; shards
+    combine by concatenation (disjoint column writes), never by
+    summation — so {!extend_tp} is bit-identical to {!extend} on the same
+    cache state. Shards execute as one [Team] region per dependency phase
+    of the block; with more than one shard the inner kernels run
+    single-threaded.
+
+    Unsharded execution ({!extend}, {!prefill}, {!decode_step},
+    {!forward_full}) is the 1-shard plan: its one slice of each layer is
+    the layer itself (no weight copy), its regions run inline, and its
+    inner kernels take the caller's [?nthreads]. *)
 
 type tp_plan
 
 (** Build a plan or explain why the shape can't be sharded: [shards] must
     divide [heads] and [intermediate], and every per-shard slice must be
     a multiple of the layer's GEMM block. [shards = 1] always succeeds
-    and degenerates to the unsharded path run inline. *)
+    and shares the model's weights. *)
 val tp_plan : t -> shards:int -> (tp_plan, string) result
 
-val tp_llm : tp_plan -> t
 val tp_shards : tp_plan -> int
 
-(** Sharded {!prefill}: same contract, bit-identical output. *)
-val prefill_tp : tp_plan -> kv_cache -> Tensor.t -> Tensor.t
-
-(** Sharded {!decode_step}: same contract, bit-identical output. *)
-val decode_step_tp : tp_plan -> kv_cache -> Tensor.t -> Tensor.t
-
-(** Sharded {!extend}: same contract, bit-identical output. *)
+(** {!extend} over a plan: same contract, bit-identical output. On an
+    empty cache, [last_row (extend_tp ...)] is {!prefill}; a 1-row call
+    is {!decode_step}. *)
 val extend_tp : tp_plan -> kv_cache -> Tensor.t -> Tensor.t
 
 (** Deterministic synthetic embedding matrix for a token-id sequence. *)

@@ -1,13 +1,26 @@
-(** Minimal dependency-free JSON well-formedness checker. The telemetry
-    reports, Chrome traces and bench JSON files are emitted by hand-written
-    printers; run them through this right after producing (and in tests) so
-    malformed output fails at the source. Checks grammar only — no values
-    are constructed. *)
+(** Minimal dependency-free JSON reader. The telemetry reports, Chrome
+    traces and bench JSON files are emitted by hand-written printers; run
+    them through {!validate} right after producing (and in tests) so
+    malformed output fails at the source, and {!parse} them to read them
+    back. Strict RFC 8259 grammar: raw control characters inside strings
+    are rejected, [\u] takes exactly 4 hex digits, and a number must also
+    convert with [float_of_string_opt]. *)
+
+type json =
+  | Jnull
+  | Jbool of bool
+  | Jnum of float
+  | Jstr of string  (** escapes decoded; [\u] escapes as UTF-8 *)
+  | Jarr of json list
+  | Jobj of (string * json) list  (** members in document order *)
 
 exception Bad_json of string
 
 (** Raises {!Bad_json} with a position-annotated message on malformed
-    input; returns unit on well-formed JSON. *)
+    input. *)
+val parse : string -> json
+
+(** [validate s = ignore (parse s)]. *)
 val validate : string -> unit
 
 (** Non-raising variant: [Error msg] on malformed input. *)

@@ -33,38 +33,82 @@ let replay_sequential llm (req : Serve.Request.t) =
   done;
   List.rev !outs
 
-(* ---- tensor-parallel sharding is bit-identical to unsharded ---- *)
+(* ---- tensor-parallel sharding is bit-identical to unsharded ----
+
+   One row per {gated, GELU} model x {contiguous, paged} cache x {1, 2}
+   shards. Each row drives [extend_tp] through a 5-token prefill, a
+   3-token extension (the prefix-hit suffix shape) and 4 single-token
+   steps; every output must equal unsharded [Llm.extend] on the same
+   storage policy bit for bit, and the rows must equal [forward_full]
+   over the whole 12-token sequence. *)
+
+(* rows [r0, r0+k) of an [n x hidden] tensor *)
+let rows x r0 k =
+  let h = (Tensor.dims x).(1) in
+  Tensor.init Datatype.F32 [| k; h |] (fun i ->
+      Tensor.get x [| r0 + i.(0); i.(1) |])
 
 let test_tp_bit_identity () =
   clean ();
-  let llm = make_llm () in
-  let plan =
-    match Llm.tp_plan llm ~shards:2 with
-    | Ok p -> p
-    | Error e -> Alcotest.fail ("tp_plan: " ^ e)
-  in
-  checki "shards" 2 (Llm.tp_shards plan);
   let prompt = [| 3; 11; 7; 29; 1 |] in
+  let suffix = [| 40; 9; 12 |] in
   let gen = [| 5; 17; 23; 2 |] in
-  (* unsharded reference *)
-  let c0 = Llm.new_cache llm in
-  let ref_first = Llm.prefill llm c0 (Llm.embed llm prompt) in
-  let ref_steps =
-    Array.map (fun tok -> Llm.decode_step llm c0 (Llm.embed llm [| tok |])) gen
+  let models =
+    [ ("gated", Llm.tiny);
+      ("gelu", { Llm.tiny with Llm.name = "tiny-gelu"; gated_ffn = false }) ]
   in
-  (* sharded run over the same tokens *)
-  let c1 = Llm.new_cache llm in
-  let tp_first = Llm.prefill_tp plan c1 (Llm.embed llm prompt) in
-  checkb "prefill bit-identical" true (bits_equal ref_first tp_first);
-  Array.iteri
-    (fun i tok ->
-      let got = Llm.decode_step_tp plan c1 (Llm.embed llm [| tok |]) in
-      checkb
-        (Printf.sprintf "decode step %d bit-identical" i)
-        true
-        (bits_equal ref_steps.(i) got))
-    gen;
-  checki "cache lengths agree" (Llm.cache_len c0) (Llm.cache_len c1)
+  List.iter
+    (fun (mname, cfg) ->
+      let llm = Llm.create ~rng:(Prng.create 7) ~block:8 cfg in
+      let storages =
+        [ ("contig", fun () -> Llm.new_cache llm);
+          ( "paged",
+            fun () ->
+              Llm.new_paged_cache llm
+                (Kv.Block_manager.create ~block_size:4 ~num_blocks:16
+                   ~layers:cfg.Llm.layers ~hidden:cfg.Llm.hidden ()) ) ]
+      in
+      (* the prefill's last row, the 3 suffix rows, then one row per step *)
+      let run extend cache =
+        let first = Llm.last_row (extend cache (Llm.embed llm prompt)) in
+        let mid = extend cache (Llm.embed llm suffix) in
+        first :: mid
+        :: Array.to_list
+             (Array.map (fun tok -> extend cache (Llm.embed llm [| tok |])) gen)
+      in
+      let full =
+        Llm.forward_full llm
+          (Llm.embed llm (Array.concat [ prompt; suffix; gen ]))
+      in
+      let want_full =
+        rows full 4 1 :: rows full 5 3
+        :: List.init 4 (fun k -> rows full (8 + k) 1)
+      in
+      List.iter
+        (fun (storage, new_cache) ->
+          let want = run (Llm.extend llm) (new_cache ()) in
+          List.iter
+            (fun shards ->
+              let plan =
+                match Llm.tp_plan llm ~shards with
+                | Ok p -> p
+                | Error e -> Alcotest.fail ("tp_plan: " ^ e)
+              in
+              checki "shards" shards (Llm.tp_shards plan);
+              let cache = new_cache () in
+              let got = run (Llm.extend_tp plan) cache in
+              let row = Printf.sprintf "%s/%s/%d shards" mname storage shards in
+              List.iteri
+                (fun k ((w, wf), g) ->
+                  checkb (Printf.sprintf "%s: output %d = extend" row k) true
+                    (bits_equal w g);
+                  checkb (Printf.sprintf "%s: output %d = forward_full" row k)
+                    true (bits_equal wf g))
+                (List.combine (List.combine want want_full) got);
+              checki (row ^ ": cache length") 12 (Llm.cache_len cache))
+            [ 1; 2 ])
+        storages)
+    models
 
 let test_tp_plan_rejects_bad_split () =
   clean ();

@@ -217,6 +217,44 @@ let test_json_check_rejects_malformed () =
       | Error m -> Alcotest.failf "rejected valid JSON %s: %s" s m)
     [ "{}"; "[]"; "{\"a\":[1,2.5,-3e4,true,false,null,\"s\\n\"]}" ]
 
+(* a baseline-shaped document reads back to its values; numbers that do
+   not convert and raw control bytes inside strings are rejected *)
+let test_json_parse_values () =
+  let module J = Telemetry.Json_check in
+  let doc =
+    "{\"schema\":\"parlooper-bench/6\",\"benches\":[{\"name\":\"chaos\",\
+     \"config\":{\"plan\":\"a\\tb\\u0041\"},\
+     \"metrics\":{\"steps\":119,\"emit_ns\":42.06,\"events_per_s\":2.3774e+07,\
+     \"overhead_pct\":-6.96}},{\"name\":\"e\",\"ok\":true,\"x\":null,\"l\":[]}]}"
+  in
+  let want =
+    J.Jobj
+      [ ("schema", J.Jstr "parlooper-bench/6");
+        ( "benches",
+          J.Jarr
+            [ J.Jobj
+                [ ("name", J.Jstr "chaos");
+                  ("config", J.Jobj [ ("plan", J.Jstr "a\tbA") ]);
+                  ( "metrics",
+                    J.Jobj
+                      [ ("steps", J.Jnum 119.0);
+                        ("emit_ns", J.Jnum 42.06);
+                        ("events_per_s", J.Jnum 2.3774e+07);
+                        ("overhead_pct", J.Jnum (-6.96)) ] ) ];
+              J.Jobj
+                [ ("name", J.Jstr "e");
+                  ("ok", J.Jbool true);
+                  ("x", J.Jnull);
+                  ("l", J.Jarr []) ] ] ) ]
+  in
+  checkb "parsed values" true (J.parse doc = want);
+  List.iter
+    (fun s ->
+      match J.parse s with
+      | _ -> Alcotest.failf "accepted malformed JSON: %S" s
+      | exception J.Bad_json _ -> ())
+    [ "1-2"; "[1-2]"; "\"a\001b\""; "{\"k\":\"\001\"}"; "\"\\u00g1\"" ]
+
 let contains ~needle hay =
   let nl = String.length needle and hl = String.length hay in
   let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
@@ -801,6 +839,7 @@ let () =
         [
           Alcotest.test_case "rejects malformed" `Quick
             test_json_check_rejects_malformed;
+          Alcotest.test_case "parse reads values" `Quick test_json_parse_values;
         ] );
       ( "registry",
         [
