@@ -130,15 +130,21 @@ smoke-regress: build
 
 # Causal-tracing smoke (~3 s): a 3-replica disaggregated serve under
 # tight deadlines with the tail sampler armed, then the worst retained
-# TTFT exemplar must resolve to a complete causal timeline that reaches
-# a decode span, and every dumped trace JSON must validate as a Chrome
-# trace (recorder check).
+# TTFT exemplar must resolve to a complete causal timeline (one that
+# ends, though it may end before any decode: a TTFT breach can be
+# cancelled right after its prefill), the worst retained TPOT exemplar
+# (observed only on decode tokens) must resolve to a timeline that
+# reaches a decode span, and every dumped trace JSON must validate as a
+# Chrome trace (recorder check).
 smoke-trace: build
 	rm -rf /tmp/parlooper-traces
 	dune exec bin/parlooper_cli.exe -- serve --rate 60 --duration 2 --deadline-ms 30 --replicas 3 --disaggregate --trace-dir /tmp/parlooper-traces --trace-sample 8
-	dune exec bin/parlooper_cli.exe -- trace worst --metric ttft --dir /tmp/parlooper-traces --require-decode > /tmp/parlooper-trace-worst.txt
+	dune exec bin/parlooper_cli.exe -- trace worst --metric ttft --dir /tmp/parlooper-traces > /tmp/parlooper-trace-worst.txt
 	@grep -q "trace_end" /tmp/parlooper-trace-worst.txt \
-	  || { echo "smoke-trace: worst trace has no terminal span"; exit 1; }
+	  || { echo "smoke-trace: worst TTFT trace has no terminal span"; exit 1; }
+	dune exec bin/parlooper_cli.exe -- trace worst --metric tpot --dir /tmp/parlooper-traces --require-decode > /tmp/parlooper-trace-worst-tpot.txt
+	@grep -q "trace_end" /tmp/parlooper-trace-worst-tpot.txt \
+	  || { echo "smoke-trace: worst TPOT trace has no terminal span"; exit 1; }
 	dune exec bin/parlooper_cli.exe -- recorder check /tmp/parlooper-traces
 	@echo "smoke-trace: /tmp/parlooper-traces ok"
 
@@ -166,7 +172,8 @@ smoke-perfbench: build
 # the online spec cache demonstrably serves, tunes, and hot-swaps in
 # the serve path, the committed perf baseline must hold within its
 # per-metric tolerances, a tail-sampled serve run must yield a
-# complete causal timeline for its worst retained TTFT exemplar, and
+# complete causal timeline for its worst retained TTFT exemplar and a
+# decode-reaching one for its worst retained TPOT exemplar, and
 # both benchmark workloads must produce correct outputs.
 ci: fmt build test smoke-serve smoke-pool smoke-chaos smoke-cluster smoke-flight smoke-paged smoke-migrate smoke-tune smoke-regress smoke-trace smoke-perfbench
 

@@ -42,8 +42,8 @@ let attend_range ?(causal = false) ~heads ~h0 ~h1 ~out q k v =
   let scale = 1.0 /. sqrt (float_of_int d) in
   let scores = Tensor.create Datatype.F32 [| nq; nk |] in
   let kt = Tensor.create Datatype.F32 [| d; nk |] in
-  let score_ker = Brgemm.compile (Brgemm.make_config ~beta:0.0 ~m:nq ~n:nk ~k:d ()) in
-  let ctx_ker = Brgemm.compile (Brgemm.make_config ~beta:0.0 ~m:nq ~n:d ~k:nk ()) in
+  let score_ker = Dispatch.brgemm (Brgemm.make_config ~beta:0.0 ~m:nq ~n:nk ~k:d ()) in
+  let ctx_ker = Dispatch.brgemm (Brgemm.make_config ~beta:0.0 ~m:nq ~n:d ~k:nk ()) in
   for h = h0 to h1 - 1 do
     let qh = head_view q ~heads ~h in
     let kh = head_view k ~heads ~h in
@@ -57,7 +57,7 @@ let attend_range ?(causal = false) ~heads ~h0 ~h1 ~out q k v =
       let offset = nk - nq in
       for i = 0 to nq - 1 do
         for j = i + offset + 1 to nk - 1 do
-          Tensor.set scores [| i; j |] (-1e30)
+          Tensor.set_flat scores ((i * nk) + j) (-1e30)
         done
       done
     end;

@@ -28,12 +28,19 @@ let create ~rng ?(dtype = Datatype.F32) ?(act = Linear) ?(block = 32)
   Tensor.fill_random bias rng ~scale:0.01;
   { in_features; out_features; weights; bias; act; block; dtype; spec }
 
-(* transpose a logical [N x F] activation into the GEMM B layout
-   ([F x N] blocked as [Nb][Kb][bk][bn]) and back *)
+(* [N x F] -> [F x N] *)
 let transpose t0 =
   let d = Tensor.dims t0 in
-  Tensor.init (Tensor.dtype t0) [| d.(1); d.(0) |] (fun i ->
-      Tensor.get t0 [| i.(1); i.(0) |])
+  let rows = d.(0) and cols = d.(1) in
+  let t = Tensor.create (Tensor.dtype t0) [| cols; rows |] in
+  let src = t0.Tensor.data and dst = t.Tensor.data in
+  for i = 0 to rows - 1 do
+    for j = 0 to cols - 1 do
+      Bigarray.Array1.unsafe_set dst ((j * rows) + i)
+        (Bigarray.Array1.unsafe_get src ((i * cols) + j))
+    done
+  done;
+  t
 
 (* largest divisor of n not exceeding cap (>= 1) *)
 let divisor_block n cap =
@@ -63,9 +70,6 @@ let forward_internal ?nthreads t x =
   (* routed through the spec-resolver hook: with online tuning enabled the
      per-shape cache may substitute a tuned (config, spec) here *)
   let g = Gemm.create_resolved cfg t.spec in
-  let a = Gemm.pack_a cfg t.weights in
-  let b = Gemm.pack_b cfg (transpose x) in
-  let c = Gemm.alloc_c cfg in
   let bias = t.bias in
   let block = t.block in
   let post ~im ~in_:_ ~c_block =
@@ -73,13 +77,28 @@ let forward_internal ?nthreads t x =
     Tpp_binary.exec Tpp_binary.Add ~bcast:Tpp_binary.Col ~a:c_block ~b:bias_col
       ~out:c_block
   in
-  Gemm.run ?nthreads ~post g ~a ~b ~c;
-  (* unpack to logical [N x out] (transpose of the GEMM C) *)
-  let o = Gemm.unpack_c cfg c in
-  let pre = transpose o in
+  (* the weights are the logical [out x in] A, read in place *)
+  let a = Tensor.on_grid t.weights cfg.Gemm.dtype in
+  let run ~b ~c = Gemm.run ?nthreads ~post g ~a ~b ~c in
+  let pre =
+    if cfg.Gemm.bn = 1 then begin
+      (* single-row blocks: blocked B [N][Kb][bk][1] holds exactly the
+         bytes of x, and blocked C [N][Mb][bm][1] those of the logical
+         [N x out] output, so both pass through without a copy *)
+      let pre = Tensor.create Datatype.F32 [| n; t.out_features |] in
+      run ~b:(Tensor.on_grid x cfg.Gemm.dtype) ~c:pre;
+      pre
+    end
+    else begin
+      let c = Gemm.alloc_c cfg in
+      run ~b:(Gemm.pack_b cfg (transpose x)) ~c;
+      (* the GEMM's C is [out x N]; the layer's output is its transpose *)
+      transpose (Gemm.unpack_c cfg c)
+    end
+  in
   let y =
     match act_unary t.act with
-    | None -> Tensor.copy pre
+    | None -> pre
     | Some op ->
       let y = Tensor.create Datatype.F32 (Tensor.dims pre) in
       Tpp_unary.exec op ~inp:(Tensor.view2d pre) ~out:(Tensor.view2d y);

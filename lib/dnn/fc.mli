@@ -3,9 +3,13 @@
 
     Convention (matching BERT-style layers): activations are row-major
     [N x in_features]; weights are [out_features x in_features];
-    [forward] computes Y = X W^T + b. Internally the GEMM runs on blocked
-    tensors with W as the A operand and X^T as the B operand, exactly the
-    paper's fully-connected formulation O = W x I. *)
+    [forward] computes Y = X W^T + b. Internally the GEMM runs with W as
+    the A operand and X^T as the B operand, exactly the paper's
+    fully-connected formulation O = W x I. The weights rest in their
+    logical layout and the GEMM reads each block in place by stride;
+    when the token count leaves one row per N block (always at N = 1),
+    X and Y are the blocked B and C as they are, so a forward copies
+    nothing but its output. *)
 
 type activation = Linear | Relu_act | Gelu_act
 
@@ -31,8 +35,9 @@ val create :
   unit ->
   t
 
-(** [forward t x] with [x : N x in] returns [N x out]. [n] (token count)
-    must be divisible by the block size. *)
+(** [forward t x] with [x : N x in] returns [N x out], for any token
+    count [N] (the N block is the largest divisor of [N] not above the
+    block size). *)
 val forward : ?nthreads:int -> t -> Tensor.t -> Tensor.t
 
 (** Saved context from a forward pass used by backward. *)

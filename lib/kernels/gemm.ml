@@ -87,45 +87,106 @@ let create_resolved cfg spec_string =
 let config t = t.cfg
 let spec t = Threaded_loop.spec_string t.loop
 
-(* ---- layout helpers ---- *)
+(* ---- layout helpers ----
+   Each helper copies whole [rows x cols] windows between a logical
+   row-major tensor and blocked storage by flat offset; stores quantize
+   to the destination's dtype. *)
+
+let copy_window ~(src : Tensor.t) ~soff ~sld ~(dst : Tensor.t) ~doff ~dld ~rows
+    ~cols =
+  let sdata = src.Tensor.data and ddata = dst.Tensor.data in
+  (* only a BF16 store of off-grid values rounds; the test is hoisted so
+     the plain copy stays free of boxing *)
+  let rounding =
+    Datatype.equal dst.Tensor.dtype Datatype.BF16
+    && not (Datatype.equal src.Tensor.dtype Datatype.BF16)
+  in
+  for i = 0 to rows - 1 do
+    let s = soff + (i * sld) and d = doff + (i * dld) in
+    if rounding then
+      for j = 0 to cols - 1 do
+        Bigarray.Array1.unsafe_set ddata (d + j)
+          (Bf16.round (Bigarray.Array1.unsafe_get sdata (s + j)))
+      done
+    else
+      for j = 0 to cols - 1 do
+        Bigarray.Array1.unsafe_set ddata (d + j)
+          (Bigarray.Array1.unsafe_get sdata (s + j))
+      done
+  done
 
 let pack_a c a =
   assert (Tensor.dims a = [| c.m; c.k |]);
-  Tensor.init c.dtype
-    [| mb c; kb c; c.bm; c.bk |]
-    (fun i ->
-      Tensor.get a [| (i.(0) * c.bm) + i.(2); (i.(1) * c.bk) + i.(3) |])
+  let p = Tensor.create c.dtype [| mb c; kb c; c.bm; c.bk |] in
+  for im = 0 to mb c - 1 do
+    for ik = 0 to kb c - 1 do
+      copy_window ~src:a
+        ~soff:((im * c.bm * c.k) + (ik * c.bk))
+        ~sld:c.k ~dst:p
+        ~doff:(((im * kb c) + ik) * c.bm * c.bk)
+        ~dld:c.bk ~rows:c.bm ~cols:c.bk
+    done
+  done;
+  p
 
 let pack_b c b =
   assert (Tensor.dims b = [| c.k; c.n |]);
   if c.vnni_b then begin
     let v = Datatype.vnni_factor c.dtype in
-    (* [Nb][Kb][bk/v][bn][v] *)
-    Tensor.init c.dtype
-      [| nb c; kb c; c.bk / v; c.bn; v |]
-      (fun i ->
-        Tensor.get b
-          [|
-            (i.(1) * c.bk) + (i.(2) * v) + i.(4); (i.(0) * c.bn) + i.(3);
-          |])
+    (* [Nb][Kb][bk/v][bn][v]: element (p, j) of a block sits at row p/v,
+       column j*v + p mod v *)
+    let p = Tensor.create c.dtype [| nb c; kb c; c.bk / v; c.bn; v |] in
+    for in_ = 0 to nb c - 1 do
+      for ik = 0 to kb c - 1 do
+        let blk = ((in_ * kb c) + ik) * c.bk * c.bn in
+        for q = 0 to c.bk - 1 do
+          copy_window ~src:b
+            ~soff:((((ik * c.bk) + q) * c.n) + (in_ * c.bn))
+            ~sld:1 ~dst:p
+            ~doff:(blk + (q / v * c.bn * v) + (q mod v))
+            ~dld:v ~rows:c.bn ~cols:1
+        done
+      done
+    done;
+    p
   end
-  else
-    Tensor.init c.dtype
-      [| nb c; kb c; c.bk; c.bn |]
-      (fun i ->
-        Tensor.get b [| (i.(1) * c.bk) + i.(2); (i.(0) * c.bn) + i.(3) |])
+  else begin
+    let p = Tensor.create c.dtype [| nb c; kb c; c.bk; c.bn |] in
+    for in_ = 0 to nb c - 1 do
+      for ik = 0 to kb c - 1 do
+        copy_window ~src:b
+          ~soff:((ik * c.bk * c.n) + (in_ * c.bn))
+          ~sld:c.n ~dst:p
+          ~doff:(((in_ * kb c) + ik) * c.bk * c.bn)
+          ~dld:c.bn ~rows:c.bk ~cols:c.bn
+      done
+    done;
+    p
+  end
+
+(* C blocks [Nb][Mb][bm][bn] <-> logical [M][N] *)
+let iter_c_blocks c f =
+  for in_ = 0 to nb c - 1 do
+    for im = 0 to mb c - 1 do
+      f ~logical:((im * c.bm * c.n) + (in_ * c.bn))
+        ~blocked:(((in_ * mb c) + im) * c.bm * c.bn)
+    done
+  done
 
 let pack_c c t =
   assert (Tensor.dims t = [| c.m; c.n |]);
-  Tensor.init Datatype.F32
-    [| nb c; mb c; c.bm; c.bn |]
-    (fun i ->
-      Tensor.get t [| (i.(1) * c.bm) + i.(2); (i.(0) * c.bn) + i.(3) |])
+  let p = Tensor.create Datatype.F32 [| nb c; mb c; c.bm; c.bn |] in
+  iter_c_blocks c (fun ~logical ~blocked ->
+      copy_window ~src:t ~soff:logical ~sld:c.n ~dst:p ~doff:blocked ~dld:c.bn
+        ~rows:c.bm ~cols:c.bn);
+  p
 
 let unpack_c c t =
-  Tensor.init Datatype.F32 [| c.m; c.n |] (fun i ->
-      Tensor.get t
-        [| i.(1) / c.bn; i.(0) / c.bm; i.(0) mod c.bm; i.(1) mod c.bn |])
+  let u = Tensor.create Datatype.F32 [| c.m; c.n |] in
+  iter_c_blocks c (fun ~logical ~blocked ->
+      copy_window ~src:t ~soff:blocked ~sld:c.bn ~dst:u ~doff:logical ~dld:c.n
+        ~rows:c.bm ~cols:c.bn);
+  u
 
 let alloc_c ?(dtype = Datatype.F32) c =
   Tensor.create dtype [| nb c; mb c; c.bm; c.bn |]
@@ -150,40 +211,41 @@ let instance_of t =
 let run ?nthreads ?post t ~a ~b ~c =
   let cfg = t.cfg in
   let v = Datatype.vnni_factor cfg.dtype in
-  let stride_a = cfg.bm * cfg.bk in
-  let stride_b = block_elems_b cfg in
+  (* A blocked [Mb][Kb][bm][bk] (blocks bk apart in a row, [bm*bk] between
+     batch steps) or logical [M][K] read in place (leading dimension K,
+     [bk] between batch steps); either way an [im] block row spans
+     [bm*K] elements *)
+  let lda, stride_a =
+    match Tensor.dims a with
+    | [| m; k |] when m = cfg.m && k = cfg.k -> (cfg.k, cfg.bk)
+    | [| mb'; kb'; bm; bk |]
+      when mb' = mb cfg && kb' = kb cfg && bm = cfg.bm && bk = cfg.bk ->
+      (cfg.bk, cfg.bm * cfg.bk)
+    | _ -> invalid_arg "Gemm.run: A must be logical [M][K] or blocked [Mb][Kb][bm][bk]"
+  in
+  if Tensor.numel b <> cfg.k * cfg.n || Tensor.numel c <> cfg.m * cfg.n then
+    invalid_arg "Gemm.run: B or C does not match the config";
   let a_row = cfg.k * cfg.bm in
-  (* elements per [im] block row of A *)
+  let ldb = if cfg.vnni_b then cfg.bn * v else cfg.bn in
+  let stride_b = block_elems_b cfg in
   let b_row = cfg.k * cfg.bn in
-  let c_row = cfg.m * cfg.bn in
+  let c_row = cfg.m * cfg.bn and c_blk = cfg.bm * cfg.bn in
   let body ind =
     let ik = ind.(0) and im = ind.(1) and in_ = ind.(2) in
     let brcount = min cfg.k_step (kb cfg - ik) in
-    let av =
-      Tensor.view_flat a
-        ~off:((im * a_row) + (ik * stride_a))
-        ~rows:cfg.bm ~cols:cfg.bk ~ld:cfg.bk
-    in
-    let bv =
-      if cfg.vnni_b then
-        Tensor.view_flat b
-          ~off:((in_ * b_row) + (ik * stride_b))
-          ~rows:(cfg.bk / v) ~cols:(cfg.bn * v) ~ld:(cfg.bn * v)
-      else
-        Tensor.view_flat b
-          ~off:((in_ * b_row) + (ik * stride_b))
-          ~rows:cfg.bk ~cols:cfg.bn ~ld:cfg.bn
-    in
-    let cv =
-      Tensor.view_flat c
-        ~off:((in_ * c_row) + (im * cfg.bm * cfg.bn))
-        ~rows:cfg.bm ~cols:cfg.bn ~ld:cfg.bn
-    in
+    let c_off = (in_ * c_row) + (im * c_blk) in
     let ker = if ik = 0 then t.ker_first else t.ker_acc in
-    Brgemm.exec_stride ker ~a:av ~b:bv ~c:cv ~stride_a ~stride_b ~count:brcount;
+    Brgemm.exec_flat ker ~a
+      ~a_off:((im * a_row) + (ik * stride_a))
+      ~lda ~b
+      ~b_off:((in_ * b_row) + (ik * stride_b))
+      ~ldb ~c ~c_off ~ldc:cfg.bn ~stride_a ~stride_b ~count:brcount;
     (* fused post-op on the finished C block (bias, activation, ...) *)
     match post with
-    | Some f when ik + brcount >= kb cfg -> f ~im ~in_ ~c_block:cv
+    | Some f when ik + brcount >= kb cfg ->
+      f ~im ~in_
+        ~c_block:
+          (Tensor.view_flat c ~off:c_off ~rows:cfg.bm ~cols:cfg.bn ~ld:cfg.bn)
     | _ -> ()
   in
   if not (Telemetry.Registry.enabled ()) then
@@ -198,8 +260,6 @@ let run ?nthreads ?post t ~a ~b ~c =
 
 let run_logical ?nthreads t ~a ~b =
   let cfg = t.cfg in
-  let ap = pack_a cfg a in
-  let bp = pack_b cfg b in
-  let cp = alloc_c cfg in
-  run ?nthreads t ~a:ap ~b:bp ~c:cp;
-  unpack_c cfg cp
+  let c = alloc_c cfg in
+  run ?nthreads t ~a:(Tensor.on_grid a cfg.dtype) ~b:(pack_b cfg b) ~c;
+  unpack_c cfg c

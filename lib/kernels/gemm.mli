@@ -2,7 +2,7 @@
 
     Logical tensors are [A: M x K], [B: K x N], [C: M x N] with
     [C += A x B]; storage is blocked:
-    - A as [Mb][Kb][bm][bk]
+    - A as [Mb][Kb][bm][bk], or logical [M][K] read in place by stride
     - B as [Nb][Kb][bk][bn]        (or its VNNI packing for BF16)
     - C as [Nb][Mb][bm][bn]
 
@@ -92,7 +92,8 @@ val clear_spec_resolver : unit -> unit
     [create_resolved]. *)
 val create_resolved : config -> string -> t
 
-(** Layout helpers between logical rank-2 tensors and blocked storage. *)
+(** Layout helpers between logical rank-2 tensors and blocked storage;
+    stores round to the blocked tensor's dtype. *)
 val pack_a : config -> Tensor.t -> Tensor.t
 val pack_b : config -> Tensor.t -> Tensor.t
 val pack_c : config -> Tensor.t -> Tensor.t
@@ -102,8 +103,17 @@ val unpack_c : config -> Tensor.t -> Tensor.t
     the input dtype to emulate low-precision activation stores). *)
 val alloc_c : ?dtype:Datatype.t -> config -> Tensor.t
 
-(** [run ?nthreads ?post t ~a ~b ~c] with blocked tensors; C is
-    overwritten (each block is zeroed on its first K-visit). [post], if
+(** [run ?nthreads ?post t ~a ~b ~c] with blocked B and C; C is
+    overwritten (each block is zeroed on its first K-visit). A is either
+    blocked [[Mb][Kb][bm][bk]] or logical [[M][K]], whose blocks are read
+    in place (leading dimension K) — the same products in the same order,
+    so both give the same bits. Logical A is used as stored, so its
+    values must already lie on the config dtype's grid
+    ({!Tensor.on_grid}). B and C are checked by element count
+    only: with [bn = 1] a logical [[N][K]] tensor is already blocked B
+    and a logical [[N][M]] one blocked C. The body issues
+    {!Brgemm.exec_flat}, so a K-visit allocates nothing. Raises
+    [Invalid_argument] on an operand of the wrong shape or size. [post], if
     given, is invoked on each C block right after its last K-visit — the
     fusion point for bias/activation TPPs (requires a spec in which, for a
     fixed (im, in), all K iterations run on one thread in order, which
@@ -117,5 +127,6 @@ val run :
   c:Tensor.t ->
   unit
 
-(** Convenience: packs logical rank-2 A and B, runs, unpacks C. *)
+(** Convenience on logical rank-2 A and B: reads A in place (rounded to
+    the config's dtype first if needed), packs B, runs, unpacks C. *)
 val run_logical : ?nthreads:int -> t -> a:Tensor.t -> b:Tensor.t -> Tensor.t

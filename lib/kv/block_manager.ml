@@ -59,8 +59,11 @@ let publish t =
 let create ?(block_size = 16) ~num_blocks ~layers ~hidden () =
   assert (block_size > 0 && num_blocks > 0 && layers > 0 && hidden > 0);
   let rows = num_blocks * block_size in
+  (* not zero-filled: a block is zeroed when it leaves the free list, so
+     pages of blocks never handed out are never touched *)
   let arena () =
-    Array.init layers (fun _ -> Tensor.create Datatype.F32 [| rows; hidden |])
+    Array.init layers (fun _ ->
+        Tensor.create_uninit Datatype.F32 [| rows; hidden |])
   in
   let t =
     { block_size; num_blocks; layers; hidden; k = arena (); v = arena ();
@@ -92,8 +95,20 @@ let refcount t b =
   Mutex.unlock t.lock;
   r
 
+(* zero block [b]'s rows in every layer *)
+let zero_block t b =
+  let n = t.block_size * t.hidden in
+  let clear (a : Tensor.t) =
+    Bigarray.Array1.fill (Bigarray.Array1.sub a.Tensor.data (b * n) n) 0.0
+  in
+  Array.iter clear t.k;
+  Array.iter clear t.v
+
 (* allocation without the fault site — shared by [acquire] and [cow]
-   (each path is governed by its own site). Caller holds no lock. *)
+   (each path is governed by its own site). Caller holds no lock. The
+   block is zeroed once it is off the free list (so outside the lock):
+   every handed-out block reads zeros until written, whether fresh or
+   reused. *)
 let alloc t =
   Mutex.lock t.lock;
   match t.free with
@@ -107,6 +122,7 @@ let alloc t =
     Telemetry.Counter.incr t.alloc_c;
     publish t;
     Mutex.unlock t.lock;
+    zero_block t b;
     `Block b
 
 let acquire t =

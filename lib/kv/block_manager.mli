@@ -5,6 +5,11 @@
     [b*block_size, (b+1)*block_size) of [k_arena l] / [v_arena l]; one
     refcount per physical block covers all layers.
 
+    The arena is committed lazily: [create] does not zero-fill it, and a
+    block is zeroed when it leaves the free list ({!acquire}, {!cow},
+    {!import}), so a handed-out block reads zeros until written and the
+    pages of blocks never handed out are never touched.
+
     Telemetry: [kv.pages.{allocated,freed,cow_copies}] counters plus the
     [kv.pages.{in_use,total}] occupancy gauges. Fault sites
     [kv.page.acquire] (arena pressure) and [kv.cow.copy] (failing COW)
@@ -41,7 +46,7 @@ val v_arena : t -> int -> Tensor.t
     quiescent point, e.g. Expose snapshots). *)
 val publish : t -> unit
 
-(** Pop a free block with refcount 1, or [`Denied] when the arena is
+(** Pop a free block with refcount 1 and all rows zeroed, or [`Denied] when the arena is
     exhausted (or the [kv.page.acquire] fault fires [`Deny]; an [Exn]
     rule raises instead — the retryable mid-flight path). *)
 val acquire : t -> [ `Block of int | `Denied ]
@@ -57,8 +62,8 @@ val release : t -> int -> unit
 
 val refcount : t -> int -> int
 
-(** [cow t b ~rows] — copy-on-write: allocate a fresh block, copy the
-    first [rows] valid rows of [b] in every layer, drop the caller's
+(** [cow t b ~rows] — copy-on-write: allocate a fresh (zeroed) block,
+    copy the first [rows] valid rows of [b] in every layer, drop the caller's
     reference on [b] and return the private copy. [`Denied] when the
     arena is exhausted or the [kv.cow.copy] fault fires [`Deny]; the
     shared source is left untouched either way. *)

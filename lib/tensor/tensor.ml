@@ -42,15 +42,19 @@ module View = struct
     { v with off = v.off + (row * v.ld) + col; rows; cols }
 end
 
-let create dtype dims =
+let create_uninit dtype dims =
   assert (Array.length dims > 0);
   Array.iter (fun d -> assert (d > 0)) dims;
   let data =
     Bigarray.Array1.create Bigarray.float32 Bigarray.c_layout
       (numel_of_dims dims)
   in
-  Bigarray.Array1.fill data 0.0;
   { data; dims = Array.copy dims; strides = compute_strides dims; dtype }
+
+let create dtype dims =
+  let t = create_uninit dtype dims in
+  Bigarray.Array1.fill t.data 0.0;
+  t
 
 let numel t = numel_of_dims t.dims
 let rank t = Array.length t.dims
@@ -146,6 +150,12 @@ let cast t dtype =
     done;
     c
   end
+
+let on_grid t dtype =
+  (* every value is on the F32 grid, and a tensor's own stores keep it on
+     its dtype's grid *)
+  if Datatype.equal dtype Datatype.F32 || Datatype.equal t.dtype dtype then t
+  else cast t dtype
 
 let max_abs_diff a b =
   assert (a.dims = b.dims);

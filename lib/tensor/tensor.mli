@@ -44,6 +44,12 @@ end
 (** [create dtype dims] allocates a zero-filled tensor. *)
 val create : Datatype.t -> int array -> t
 
+(** [create_uninit dtype dims] allocates without filling: the contents
+    are unspecified until written. For large buffers that are written
+    before they are read (e.g. a KV arena whose blocks are zeroed when
+    handed out), so untouched pages are never committed. *)
+val create_uninit : Datatype.t -> int array -> t
+
 (** [init dtype dims f] fills element-wise from multi-index. *)
 val init : Datatype.t -> int array -> (int array -> float) -> t
 
@@ -87,6 +93,12 @@ val sub_rows : t -> int -> t
 
 (** Convert to another datatype (rounding values as needed). *)
 val cast : t -> Datatype.t -> t
+
+(** [on_grid t dtype] — [t] itself when its values already lie on
+    [dtype]'s grid ([dtype] is F32, or [t] already has [dtype]); else
+    [cast t dtype]. What a packing copy into [dtype] storage would
+    compute, without the copy when it would be the identity. *)
+val on_grid : t -> Datatype.t -> t
 
 (** Element-wise maximum absolute difference. Dims must match. *)
 val max_abs_diff : t -> t -> float

@@ -39,29 +39,30 @@ let compile cfg =
 
 let config_of k = k.cfg
 
-let load_acc ker acc (c : View.t) =
+(* The kernel body works on raw operands — a buffer, the element offset
+   of the block's origin and its leading dimension — so [exec_flat]
+   builds no [View] record per call. *)
+
+let load_acc ker acc (cdata : Tensor.buffer) coff cld =
   let { m; n; beta; _ } = ker.cfg in
   if beta = 0.0 then Array.fill acc 0 (m * n) 0.0
-  else begin
-    let cdata = c.View.data and cld = c.View.ld in
+  else
     for i = 0 to m - 1 do
-      let crow = c.View.off + (i * cld) and arow = i * n in
+      let crow = coff + (i * cld) and arow = i * n in
       for j = 0 to n - 1 do
         Array.unsafe_set acc (arow + j)
           (Bigarray.Array1.unsafe_get cdata (crow + j))
       done
     done
-  end
 
 (* the store quantizes to C's dtype; the dtype dispatch is hoisted out of
    the loop so the F32 path stays free of boxing *)
-let store_acc ker acc (c : View.t) =
+let store_acc ker acc (cdata : Tensor.buffer) coff cld cdtype =
   let { m; n; _ } = ker.cfg in
-  let cdata = c.View.data and cld = c.View.ld in
-  match c.View.dtype with
+  match cdtype with
   | Datatype.F32 ->
     for i = 0 to m - 1 do
-      let crow = c.View.off + (i * cld) and arow = i * n in
+      let crow = coff + (i * cld) and arow = i * n in
       for j = 0 to n - 1 do
         Bigarray.Array1.unsafe_set cdata (crow + j)
           (Array.unsafe_get acc (arow + j))
@@ -69,29 +70,29 @@ let store_acc ker acc (c : View.t) =
     done
   | _ ->
     for i = 0 to m - 1 do
+      let crow = coff + (i * cld) and arow = i * n in
       for j = 0 to n - 1 do
-        View.set c i j acc.((i * n) + j)
+        Bigarray.Array1.unsafe_set cdata (crow + j)
+          (Datatype.quantize cdtype (Array.unsafe_get acc (arow + j)))
       done
     done
 
-(* One batch step: acc += A x B with A at element offset [oa] from [a]'s
-   origin and B at [ob] from [b]'s. The i-k-j loop order walks both B and
-   the accumulator row-contiguously (the emulated register-blocked
-   microkernel). *)
-let accumulate ker acc (a : View.t) (b : View.t) oa ob =
+(* One batch step: acc += A x B with A's block at element [abase] of
+   [adata] (leading dimension [lda]) and B's at [bbase] of [bdata]. The
+   i-k-j loop order walks both B and the accumulator row-contiguously
+   (the emulated register-blocked microkernel). *)
+let accumulate ker acc (adata : Tensor.buffer) abase lda
+    (bdata : Tensor.buffer) bbase ldb =
   let { m; n; k; b_layout; dtype; _ } = ker.cfg in
-  let adata = a.View.data and bdata = b.View.data in
-  let abase = a.View.off + oa and bbase = b.View.off + ob in
-  let alda = a.View.ld and bldb = b.View.ld in
   match b_layout with
   | Flat ->
     for i = 0 to m - 1 do
-      let arow = abase + (i * alda) in
+      let arow = abase + (i * lda) in
       let crow = i * n in
       for p = 0 to k - 1 do
         let av = Bigarray.Array1.unsafe_get adata (arow + p) in
         if av <> 0.0 then begin
-          let brow = bbase + (p * bldb) in
+          let brow = bbase + (p * ldb) in
           for j = 0 to n - 1 do
             Array.unsafe_set acc (crow + j)
               (Array.unsafe_get acc (crow + j)
@@ -105,12 +106,12 @@ let accumulate ker acc (a : View.t) (b : View.t) oa ob =
        row (p/v), column j*v + p mod v. *)
     let v = Datatype.vnni_factor dtype in
     for i = 0 to m - 1 do
-      let arow = abase + (i * alda) in
+      let arow = abase + (i * lda) in
       let crow = i * n in
       for p = 0 to k - 1 do
         let av = Bigarray.Array1.unsafe_get adata (arow + p) in
         if av <> 0.0 then begin
-          let brow = bbase + (p / v * bldb) + (p mod v) in
+          let brow = bbase + (p / v * ldb) + (p mod v) in
           for j = 0 to n - 1 do
             Array.unsafe_set acc (crow + j)
               (Array.unsafe_get acc (crow + j)
@@ -125,14 +126,17 @@ let accumulate ker acc (a : View.t) (b : View.t) oa ob =
    even a [Sampled _] guard (which always probes index 0) detects it. *)
 let poison_site = Fault.site "tpp.brgemm.store"
 
-(* post-store guard: runs inside the accumulator's protected region so a
-   raised Numeric_error still releases the lease *)
-let guard ker (c : View.t) =
+(* post-store guard over the [rows x cols] C window: runs inside the
+   accumulator's protected region so a raised Numeric_error still
+   releases the lease; the window's view is built only when the guard is
+   on *)
+let guard ker (cdata : Tensor.buffer) coff cld cdtype ~rows ~cols =
   (match Fault.fire poison_site with
-  | `Nan -> View.set c 0 0 Float.nan
+  | `Nan -> Bigarray.Array1.unsafe_set cdata coff Float.nan
   | `None | `Deny -> ());
   if Tpp_check.mode () <> Tpp_check.Off then
-    Tpp_check.finite_2d ~kernel:(config_to_string ker.cfg) c
+    Tpp_check.finite_2d ~kernel:(config_to_string ker.cfg)
+      { View.data = cdata; off = coff; rows; cols; ld = cld; dtype = cdtype }
 
 let check_views ker ~(a : View.t) ~(b : View.t) ~(c : View.t) =
   let { m; n; k; b_layout; dtype; _ } = ker.cfg in
@@ -144,20 +148,26 @@ let check_views ker ~(a : View.t) ~(b : View.t) ~(c : View.t) =
     assert (b.View.rows >= k / v && b.View.cols >= n * v));
   assert (c.View.rows >= m && c.View.cols >= n)
 
-let exec_stride ker ~a ~b ~c ~stride_a ~stride_b ~count =
-  check_views ker ~a ~b ~c;
+(* The stride/offset body: batch step [i] reads A at [aoff + stride_a*i]
+   and B at [boff + stride_b*i], or at [aoff + offs_a.(i)] and
+   [boff + offs_b.(i)] when offset arrays are given. *)
+let run_batch ker ~adata ~aoff ~lda ~bdata ~boff ~ldb ~cdata ~coff ~ldc ~cdtype
+    ~crows ~ccols ~stride_a ~stride_b ~offs_a ~offs_b ~count =
   Telemetry.Recorder.emit Telemetry.Recorder.Kernel_begin ~label:ker.rlabel
     ~a:count ~b:0;
   let ar = Scratch.arena () in
   let acc = Scratch.lease ar (ker.cfg.m * ker.cfg.n) in
+  let by_offset = Array.length offs_a > 0 in
   (* try/with (not Fun.protect) keeps the no-exception path allocation-free *)
   (try
-     load_acc ker acc c;
+     load_acc ker acc cdata coff ldc;
      for i = 0 to count - 1 do
-       accumulate ker acc a b (i * stride_a) (i * stride_b)
+       let oa = if by_offset then Array.unsafe_get offs_a i else i * stride_a in
+       let ob = if by_offset then Array.unsafe_get offs_b i else i * stride_b in
+       accumulate ker acc adata (aoff + oa) lda bdata (boff + ob) ldb
      done;
-     store_acc ker acc c;
-     guard ker c
+     store_acc ker acc cdata coff ldc cdtype;
+     guard ker cdata coff ldc cdtype ~rows:crows ~cols:ccols
    with e ->
      Scratch.release ar acc;
      Telemetry.Recorder.emit Telemetry.Recorder.Kernel_end ~label:ker.rlabel
@@ -167,30 +177,47 @@ let exec_stride ker ~a ~b ~c ~stride_a ~stride_b ~count =
   Telemetry.Recorder.emit Telemetry.Recorder.Kernel_end ~label:ker.rlabel
     ~a:count ~b:0
 
+let exec_stride ker ~a ~b ~c ~stride_a ~stride_b ~count =
+  check_views ker ~a ~b ~c;
+  run_batch ker ~adata:a.View.data ~aoff:a.View.off ~lda:a.View.ld
+    ~bdata:b.View.data ~boff:b.View.off ~ldb:b.View.ld ~cdata:c.View.data
+    ~coff:c.View.off ~ldc:c.View.ld ~cdtype:c.View.dtype ~crows:c.View.rows
+    ~ccols:c.View.cols ~stride_a ~stride_b ~offs_a:[||] ~offs_b:[||] ~count
+
 let exec_offsets ker ~a ~b ~c ~offs_a ~offs_b =
   assert (Array.length offs_a = Array.length offs_b);
   check_views ker ~a ~b ~c;
-  Telemetry.Recorder.emit Telemetry.Recorder.Kernel_begin ~label:ker.rlabel
-    ~a:(Array.length offs_a) ~b:0;
-  let ar = Scratch.arena () in
-  let acc = Scratch.lease ar (ker.cfg.m * ker.cfg.n) in
-  (try
-     load_acc ker acc c;
-     for i = 0 to Array.length offs_a - 1 do
-       accumulate ker acc a b offs_a.(i) offs_b.(i)
-     done;
-     store_acc ker acc c;
-     guard ker c
-   with e ->
-     Scratch.release ar acc;
-     Telemetry.Recorder.emit Telemetry.Recorder.Kernel_end ~label:ker.rlabel
-       ~a:(Array.length offs_a) ~b:1;
-     raise e);
-  Scratch.release ar acc;
-  Telemetry.Recorder.emit Telemetry.Recorder.Kernel_end ~label:ker.rlabel
-    ~a:(Array.length offs_a) ~b:0
+  run_batch ker ~adata:a.View.data ~aoff:a.View.off ~lda:a.View.ld
+    ~bdata:b.View.data ~boff:b.View.off ~ldb:b.View.ld ~cdata:c.View.data
+    ~coff:c.View.off ~ldc:c.View.ld ~cdtype:c.View.dtype ~crows:c.View.rows
+    ~ccols:c.View.cols ~stride_a:0 ~stride_b:0 ~offs_a ~offs_b
+    ~count:(Array.length offs_a)
 
-let exec_list ker ~ab ~c =
+(* [rows x cols] block with leading dimension [ld] at [off], repeated
+   [count] times [stride] apart, must lie inside [t]'s buffer *)
+let check_flat what (t : Tensor.t) ~off ~rows ~cols ~ld ~stride ~count =
+  let last = off + (max 0 (count - 1) * stride) + ((rows - 1) * ld) + cols in
+  if off < 0 || stride < 0 || ld < cols || last > Bigarray.Array1.dim t.Tensor.data
+  then invalid_arg ("Brgemm.exec_flat: " ^ what ^ " block outside its tensor")
+
+let exec_flat ker ~(a : Tensor.t) ~a_off ~lda ~(b : Tensor.t) ~b_off ~ldb
+    ~(c : Tensor.t) ~c_off ~ldc ~stride_a ~stride_b ~count =
+  let { m; n; k; b_layout; dtype; _ } = ker.cfg in
+  check_flat "A" a ~off:a_off ~rows:m ~cols:k ~ld:lda ~stride:stride_a ~count;
+  (match b_layout with
+  | Flat ->
+    check_flat "B" b ~off:b_off ~rows:k ~cols:n ~ld:ldb ~stride:stride_b ~count
+  | Vnni ->
+    let v = Datatype.vnni_factor dtype in
+    check_flat "B" b ~off:b_off ~rows:(k / v) ~cols:(n * v) ~ld:ldb
+      ~stride:stride_b ~count);
+  check_flat "C" c ~off:c_off ~rows:m ~cols:n ~ld:ldc ~stride:0 ~count:1;
+  run_batch ker ~adata:a.Tensor.data ~aoff:a_off ~lda ~bdata:b.Tensor.data
+    ~boff:b_off ~ldb ~cdata:c.Tensor.data ~coff:c_off ~ldc
+    ~cdtype:c.Tensor.dtype ~crows:m ~ccols:n ~stride_a ~stride_b ~offs_a:[||]
+    ~offs_b:[||] ~count
+
+let exec_list ker ~ab ~(c : View.t) =
   match ab with
   | [] ->
     (* empty batch: the contraction contributes nothing, so beta = 0 just
@@ -204,30 +231,30 @@ let exec_list ker ~ab ~c =
       done
   | (a0, b0) :: _ ->
     check_views ker ~a:a0 ~b:b0 ~c;
+    let count = List.length ab in
+    let cdata = c.View.data and coff = c.View.off and ldc = c.View.ld in
     Telemetry.Recorder.emit Telemetry.Recorder.Kernel_begin ~label:ker.rlabel
-      ~a:(List.length ab) ~b:0;
+      ~a:count ~b:0;
     let ar = Scratch.arena () in
     let acc = Scratch.lease ar (ker.cfg.m * ker.cfg.n) in
     (try
-       load_acc ker acc c;
+       load_acc ker acc cdata coff ldc;
+       (* views may come from different buffers *)
        List.iter
          (fun ((a : View.t), (b : View.t)) ->
-           (* views may come from different buffers; fold their origins in *)
-           accumulate ker acc
-             { a with View.off = 0 }
-             { b with View.off = 0 }
-             a.View.off b.View.off)
+           accumulate ker acc a.View.data a.View.off a.View.ld b.View.data
+             b.View.off b.View.ld)
          ab;
-       store_acc ker acc c;
-       guard ker c
+       store_acc ker acc cdata coff ldc c.View.dtype;
+       guard ker cdata coff ldc c.View.dtype ~rows:c.View.rows ~cols:c.View.cols
      with e ->
        Scratch.release ar acc;
        Telemetry.Recorder.emit Telemetry.Recorder.Kernel_end ~label:ker.rlabel
-         ~a:(List.length ab) ~b:1;
+         ~a:count ~b:1;
        raise e);
     Scratch.release ar acc;
     Telemetry.Recorder.emit Telemetry.Recorder.Kernel_end ~label:ker.rlabel
-      ~a:(List.length ab) ~b:0
+      ~a:count ~b:0
 
 let exec ker ~a ~b ~c = exec_stride ker ~a ~b ~c ~stride_a:0 ~stride_b:0 ~count:1
 

@@ -59,6 +59,30 @@ val exec_stride :
   count:int ->
   unit
 
+(** Stride variant addressed into whole tensors: A's block starts at
+    element [a_off] of [a]'s buffer with leading dimension [lda] and
+    [A_i] [i*stride_a] further on, likewise B; C's [m x n] block starts at
+    [c_off] with leading dimension [ldc] and is stored in [c]'s dtype.
+    Same arithmetic as {!exec_stride}, but no {!Tensor.View.t} is built,
+    so a loop body issuing it allocates nothing. Raises
+    [Invalid_argument] when a block (over all [count] steps) falls
+    outside its tensor. *)
+val exec_flat :
+  kernel ->
+  a:Tensor.t ->
+  a_off:int ->
+  lda:int ->
+  b:Tensor.t ->
+  b_off:int ->
+  ldb:int ->
+  c:Tensor.t ->
+  c_off:int ->
+  ldc:int ->
+  stride_a:int ->
+  stride_b:int ->
+  count:int ->
+  unit
+
 (** Offset variant: per-batch element offsets from the A and B origins.
     Arrays must have equal length = batch count. *)
 val exec_offsets :

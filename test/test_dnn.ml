@@ -35,6 +35,70 @@ let test_fc_single_token () =
   let y = Fc.forward fc x in
   checki "one row out" 1 (Tensor.dims y).(0)
 
+(* Fc.forward reads the weights in place and, at one row per block,
+   passes x and the output through without a copy; it must give the same
+   bits as the packed path it replaced: pack_a the weights, pack_b the
+   transposed input, unpack and transpose C, then activate *)
+let packed_fc_forward (fc : Fc.t) x =
+  let n = (Tensor.dims x).(0) in
+  let rec divisor d = if n mod d = 0 then d else divisor (d - 1) in
+  let cfg =
+    Gemm.make_config ~bm:fc.Fc.block ~bn:(divisor (min fc.Fc.block n))
+      ~bk:fc.Fc.block ~dtype:fc.Fc.dtype ~m:fc.Fc.out_features ~n
+      ~k:fc.Fc.in_features ()
+  in
+  let transpose t =
+    let d = Tensor.dims t in
+    Tensor.init (Tensor.dtype t) [| d.(1); d.(0) |] (fun i ->
+        Tensor.get t [| i.(1); i.(0) |])
+  in
+  let post ~im ~in_:_ ~c_block =
+    Tpp_binary.exec Tpp_binary.Add ~bcast:Tpp_binary.Col ~a:c_block
+      ~b:
+        (Tensor.view_flat fc.Fc.bias ~off:(im * fc.Fc.block) ~rows:fc.Fc.block
+           ~cols:1 ~ld:1)
+      ~out:c_block
+  in
+  let c = Gemm.alloc_c cfg in
+  Gemm.run ~nthreads:1 ~post (Gemm.create cfg fc.Fc.spec)
+    ~a:(Gemm.pack_a cfg fc.Fc.weights)
+    ~b:(Gemm.pack_b cfg (transpose x))
+    ~c;
+  let pre = transpose (Gemm.unpack_c cfg c) in
+  let act op =
+    let y = Tensor.create Datatype.F32 (Tensor.dims pre) in
+    Tpp_unary.exec op ~inp:(Tensor.view2d pre) ~out:(Tensor.view2d y);
+    y
+  in
+  match fc.Fc.act with
+  | Fc.Linear -> pre
+  | Fc.Relu_act -> act Tpp_unary.Relu
+  | Fc.Gelu_act -> act Tpp_unary.Gelu
+
+let test_fc_matches_packed_path () =
+  let rng = Prng.create 21 in
+  let block = 8 in
+  List.iter
+    (fun dtype ->
+      List.iter
+        (fun act ->
+          let fc =
+            Fc.create ~rng ~dtype ~act ~block ~in_features:24 ~out_features:16
+              ()
+          in
+          List.iter
+            (fun n ->
+              (* an F32 input, so BF16 layers must round it as packing did *)
+              let x = random_tensor rng [| n; 24 |] in
+              checkb
+                (Printf.sprintf "fc %s n=%d" (Datatype.to_string dtype) n)
+                true
+                (Tensor.to_list (Fc.forward ~nthreads:1 fc x)
+                = Tensor.to_list (packed_fc_forward fc x)))
+            [ 1; 2; 3; block; (2 * block) + 1 ])
+        [ Fc.Linear; Fc.Relu_act; Fc.Gelu_act ])
+    [ Datatype.F32; Datatype.BF16 ]
+
 let test_fc_backward_finite_diff () =
   let rng = Prng.create 3 in
   let fc =
@@ -341,6 +405,8 @@ let () =
         [
           Alcotest.test_case "forward" `Quick test_fc_forward_matches_reference;
           Alcotest.test_case "single token" `Quick test_fc_single_token;
+          Alcotest.test_case "== packed path (bit-identical)" `Quick
+            test_fc_matches_packed_path;
           Alcotest.test_case "backward fd" `Quick test_fc_backward_finite_diff;
           Alcotest.test_case "sgd" `Quick test_fc_sgd_reduces_loss;
         ] );

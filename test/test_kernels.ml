@@ -89,6 +89,59 @@ let test_gemm_post_hook_runs_once_per_block () =
   Gemm.run ~post:(fun ~im:_ ~in_:_ ~c_block:_ -> incr calls) g ~a ~b ~c;
   checki "post per C block" 4 !calls
 
+(* A read in place (logical [M][K]) must give the same bits as the
+   same GEMM over pack_a's blocked copy: only the addressing differs,
+   the K accumulation order is the same *)
+let test_gemm_logical_a_bit_identical () =
+  let rng = Prng.create 12 in
+  let m, n, k = (64, 32, 128) in
+  List.iter
+    (fun (dtype, vnni_b) ->
+      let a = random_tensor ~dtype rng [| m; k |] in
+      let b = random_tensor ~dtype rng [| k; n |] in
+      List.iter
+        (fun (spec, mk_blocks, kk_blocks) ->
+          let cfg =
+            Gemm.make_config ~bm:16 ~bn:8 ~bk:16 ~dtype ~vnni_b ~k_step:2
+              ~mk_blocks ~kk_blocks ~m ~n ~k ()
+          in
+          let bp = Gemm.pack_b cfg b in
+          List.iter
+            (fun nthreads ->
+              let g = Gemm.create cfg spec in
+              let run a =
+                let c = Gemm.alloc_c cfg in
+                Gemm.run ~nthreads g ~a ~b:bp ~c;
+                c
+              in
+              let blocked = run (Gemm.pack_a cfg a) and logical = run a in
+              checkb
+                (Printf.sprintf "logical A %s %s t%d" spec
+                   (Datatype.to_string dtype) nthreads)
+                true
+                (Tensor.to_list blocked = Tensor.to_list logical))
+            [ 1; 2 ])
+        [ ("BCa", [], []); ("Baabc", [ 2 ], [ 4; 2 ]); ("aBac", [], [ 4 ]) ])
+    [ (Datatype.F32, false); (Datatype.BF16, true) ]
+
+(* A warm run's allocation is per run and per C block, never per
+   K-visit: the BRGEMM body addresses its operands by offset *)
+let test_gemm_run_alloc_independent_of_k () =
+  let rng = Prng.create 13 in
+  let words k =
+    let cfg = Gemm.make_config ~bm:8 ~bn:1 ~bk:8 ~m:64 ~n:1 ~k () in
+    let g = Gemm.create cfg "BCa" in
+    let a = random_tensor rng [| 64; k |] and b = random_tensor rng [| 1; k |] in
+    let c = Tensor.create Datatype.F32 [| 1; 64 |] in
+    let run () = Gemm.run ~nthreads:1 g ~a ~b ~c in
+    for _ = 1 to 5 do run () done;
+    let w0 = Gc.minor_words () in
+    for _ = 1 to 10 do run () done;
+    (Gc.minor_words () -. w0) /. 10.0
+  in
+  let few = words 16 and many = words 512 in
+  Alcotest.(check (float 0.0)) "minor words, 2 vs 64 K-visits per block" few many
+
 (* ---- mlp ---- *)
 
 let test_mlp_matches_reference () =
@@ -278,6 +331,10 @@ let () =
           Alcotest.test_case "bf16 / vnni" `Quick test_gemm_bf16;
           Alcotest.test_case "flops" `Quick test_gemm_flops;
           Alcotest.test_case "pack roundtrip" `Quick test_gemm_pack_roundtrip;
+          Alcotest.test_case "logical A bit-identical" `Quick
+            test_gemm_logical_a_bit_identical;
+          Alcotest.test_case "alloc independent of K" `Quick
+            test_gemm_run_alloc_independent_of_k;
           Alcotest.test_case "bad blocks rejected" `Quick
             test_gemm_rejects_bad_blocks;
           qt prop_gemm_random_shapes;

@@ -118,6 +118,71 @@ let test_cow_isolates_writers () =
   Kv.Seq.release_all s2;
   checki "no leak after release" 8 (Kv.Block_manager.free_blocks m)
 
+(* The arena is not zero-filled at create; a block is zeroed when it
+   leaves the free list, so a reused block never shows its last owner's
+   rows, and a COW copy is its source's valid rows followed by zeros *)
+let test_handed_out_blocks_read_zero () =
+  clean ();
+  let bs = 4 and hidden = 4 and layers = 2 in
+  let m = mk_mgr ~block_size:bs ~layers ~hidden () in
+  let module B = Kv.Block_manager in
+  let acquire () =
+    match B.acquire m with `Block b -> b | `Denied -> Alcotest.fail "empty arena"
+  in
+  (* every layer's K and V arena; block [b] is elements
+     [b*span, (b+1)*span) of each *)
+  let arenas =
+    List.concat_map
+      (fun l -> [ B.k_arena m l; B.v_arena m l ])
+      (List.init layers Fun.id)
+  in
+  let span = bs * hidden in
+  let fill b =
+    List.iteri
+      (fun a t ->
+        for i = 0 to span - 1 do
+          Tensor.set_flat t ((b * span) + i) (float_of_int ((100 * a) + i + 1))
+        done)
+      arenas
+  in
+  let rows_zero b ~from =
+    List.for_all
+      (fun t ->
+        List.for_all
+          (fun i -> Tensor.get_flat t ((b * span) + i) = 0.0)
+          (List.init (span - (from * hidden)) (fun i -> (from * hidden) + i)))
+      arenas
+  in
+  let b = acquire () in
+  fill b;
+  B.release m b;
+  let b' = acquire () in
+  checki "the released block is handed out again" b b';
+  checkb "re-acquired block reads zero" true (rows_zero b' ~from:0);
+  (* a dirty block at the head of the free list becomes the COW target *)
+  fill b';
+  let dirty = acquire () in
+  fill dirty;
+  B.release m dirty;
+  B.retain m b';
+  (match B.cow m b' ~rows:2 with
+  | `Denied -> Alcotest.fail "cow denied"
+  | `Block nb ->
+    checki "cow reuses the dirty block" dirty nb;
+    checkb "copied rows equal the source" true
+      (List.for_all
+         (fun t ->
+           List.for_all
+             (fun i ->
+               Tensor.get_flat t ((nb * span) + i)
+               = Tensor.get_flat t ((b' * span) + i))
+             (List.init (2 * hidden) Fun.id))
+         arenas);
+    checkb "rows past the copy read zero" true (rows_zero nb ~from:2);
+    B.release m nb);
+  B.release m b';
+  checki "no leak" 8 (B.free_blocks m)
+
 let test_seq_out_of_blocks () =
   clean ();
   let m = mk_mgr ~num_blocks:2 () in
@@ -519,6 +584,8 @@ let () =
             test_refcount_never_negative;
           Alcotest.test_case "COW isolates writers" `Quick
             test_cow_isolates_writers;
+          Alcotest.test_case "handed-out blocks read zero" `Quick
+            test_handed_out_blocks_read_zero;
         ] );
       ( "seq",
         [
