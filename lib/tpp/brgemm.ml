@@ -27,11 +27,12 @@ let config_to_string c =
     c.beta
 
 (* Kernels are stateless (safe to share across threads from the dispatch
-   cache); the FP32 accumulator — the emulated tile-register file — is
-   leased from the calling thread's scratch arena per invocation, so
-   after warm-up the hot path allocates nothing. [rlabel] is the kernel's
-   flight-recorder label, interned once at compile so the begin/end
-   events in the exec paths stay allocation-free. *)
+   cache); the accumulator array, which holds the C tile between batch
+   steps, is leased from the calling thread's scratch arena per
+   invocation, so after warm-up the hot path allocates nothing.
+   [rlabel] is the kernel's flight-recorder label, interned once at
+   compile so the begin/end events in the exec paths stay
+   allocation-free. *)
 type kernel = { cfg : config; rlabel : int }
 
 let compile cfg =
@@ -78,46 +79,129 @@ let store_acc ker acc (cdata : Tensor.buffer) coff cld cdtype =
     done
 
 (* One batch step: acc += A x B with A's block at element [abase] of
-   [adata] (leading dimension [lda]) and B's at [bbase] of [bdata]. The
-   i-k-j loop order walks both B and the accumulator row-contiguously
-   (the emulated register-blocked microkernel). *)
+   [adata] (leading dimension [lda]) and B's at [bbase] of [bdata].
+
+   The register tile described in brgemm.mli: a row's 8-column tile
+   stays in float refs for the whole K loop; ocamlopt keeps them unboxed
+   as long as they do not escape. Each element still gets its products
+   in increasing p, so the sums equal the i-p-j loop's bit for bit.
+   Flat is the v = 1 case of the VNNI walk, but it keeps its own body:
+   the one-trip r loop makes the F32 kernel ~1.5x slower. *)
 let accumulate ker acc (adata : Tensor.buffer) abase lda
     (bdata : Tensor.buffer) bbase ldb =
   let { m; n; k; b_layout; dtype; _ } = ker.cfg in
+  let tiles = n / 8 in
   match b_layout with
   | Flat ->
     for i = 0 to m - 1 do
-      let arow = abase + (i * lda) in
-      let crow = i * n in
-      for p = 0 to k - 1 do
-        let av = Bigarray.Array1.unsafe_get adata (arow + p) in
-        if av <> 0.0 then begin
-          let brow = bbase + (p * ldb) in
-          for j = 0 to n - 1 do
-            Array.unsafe_set acc (crow + j)
-              (Array.unsafe_get acc (crow + j)
-              +. (av *. Bigarray.Array1.unsafe_get bdata (brow + j)))
-          done
-        end
+      let arow = abase + (i * lda) and crow = i * n in
+      for t = 0 to tiles - 1 do
+        let j0 = t * 8 in
+        let cj = crow + j0 and bcol = bbase + j0 in
+        let c0 = ref (Array.unsafe_get acc cj)
+        and c1 = ref (Array.unsafe_get acc (cj + 1))
+        and c2 = ref (Array.unsafe_get acc (cj + 2))
+        and c3 = ref (Array.unsafe_get acc (cj + 3))
+        and c4 = ref (Array.unsafe_get acc (cj + 4))
+        and c5 = ref (Array.unsafe_get acc (cj + 5))
+        and c6 = ref (Array.unsafe_get acc (cj + 6))
+        and c7 = ref (Array.unsafe_get acc (cj + 7)) in
+        for p = 0 to k - 1 do
+          let av = Bigarray.Array1.unsafe_get adata (arow + p) in
+          if av <> 0.0 then begin
+            let b = bcol + (p * ldb) in
+            c0 := !c0 +. (av *. Bigarray.Array1.unsafe_get bdata b);
+            c1 := !c1 +. (av *. Bigarray.Array1.unsafe_get bdata (b + 1));
+            c2 := !c2 +. (av *. Bigarray.Array1.unsafe_get bdata (b + 2));
+            c3 := !c3 +. (av *. Bigarray.Array1.unsafe_get bdata (b + 3));
+            c4 := !c4 +. (av *. Bigarray.Array1.unsafe_get bdata (b + 4));
+            c5 := !c5 +. (av *. Bigarray.Array1.unsafe_get bdata (b + 5));
+            c6 := !c6 +. (av *. Bigarray.Array1.unsafe_get bdata (b + 6));
+            c7 := !c7 +. (av *. Bigarray.Array1.unsafe_get bdata (b + 7))
+          end
+        done;
+        Array.unsafe_set acc cj !c0;
+        Array.unsafe_set acc (cj + 1) !c1;
+        Array.unsafe_set acc (cj + 2) !c2;
+        Array.unsafe_set acc (cj + 3) !c3;
+        Array.unsafe_set acc (cj + 4) !c4;
+        Array.unsafe_set acc (cj + 5) !c5;
+        Array.unsafe_set acc (cj + 6) !c6;
+        Array.unsafe_set acc (cj + 7) !c7
+      done;
+      for j = tiles * 8 to n - 1 do
+        let c = ref (Array.unsafe_get acc (crow + j)) and bcol = bbase + j in
+        for p = 0 to k - 1 do
+          let av = Bigarray.Array1.unsafe_get adata (arow + p) in
+          if av <> 0.0 then
+            c :=
+              !c +. (av *. Bigarray.Array1.unsafe_get bdata (bcol + (p * ldb)))
+        done;
+        Array.unsafe_set acc (crow + j) !c
       done
     done
   | Vnni ->
-    (* B stored as [k/v] rows of [n*v] elements: element (p, j) lives at
-       row (p/v), column j*v + p mod v. *)
+    (* B stored as [k/v] rows of [n*v] elements: with p = q*v + r,
+       element (p, j) lives at row q, column j*v + r *)
     let v = Datatype.vnni_factor dtype in
+    let kq = k / v in
     for i = 0 to m - 1 do
-      let arow = abase + (i * lda) in
-      let crow = i * n in
-      for p = 0 to k - 1 do
-        let av = Bigarray.Array1.unsafe_get adata (arow + p) in
-        if av <> 0.0 then begin
-          let brow = bbase + (p / v * ldb) + (p mod v) in
-          for j = 0 to n - 1 do
-            Array.unsafe_set acc (crow + j)
-              (Array.unsafe_get acc (crow + j)
-              +. (av *. Bigarray.Array1.unsafe_get bdata (brow + (j * v))))
+      let arow = abase + (i * lda) and crow = i * n in
+      for t = 0 to tiles - 1 do
+        let j0 = t * 8 in
+        let cj = crow + j0 and bcol = bbase + (j0 * v) in
+        let c0 = ref (Array.unsafe_get acc cj)
+        and c1 = ref (Array.unsafe_get acc (cj + 1))
+        and c2 = ref (Array.unsafe_get acc (cj + 2))
+        and c3 = ref (Array.unsafe_get acc (cj + 3))
+        and c4 = ref (Array.unsafe_get acc (cj + 4))
+        and c5 = ref (Array.unsafe_get acc (cj + 5))
+        and c6 = ref (Array.unsafe_get acc (cj + 6))
+        and c7 = ref (Array.unsafe_get acc (cj + 7)) in
+        for q = 0 to kq - 1 do
+          let aq = arow + (q * v) and bq = bcol + (q * ldb) in
+          for r = 0 to v - 1 do
+            let av = Bigarray.Array1.unsafe_get adata (aq + r) in
+            if av <> 0.0 then begin
+              let b = bq + r in
+              c0 := !c0 +. (av *. Bigarray.Array1.unsafe_get bdata b);
+              c1 := !c1 +. (av *. Bigarray.Array1.unsafe_get bdata (b + v));
+              c2 :=
+                !c2 +. (av *. Bigarray.Array1.unsafe_get bdata (b + (2 * v)));
+              c3 :=
+                !c3 +. (av *. Bigarray.Array1.unsafe_get bdata (b + (3 * v)));
+              c4 :=
+                !c4 +. (av *. Bigarray.Array1.unsafe_get bdata (b + (4 * v)));
+              c5 :=
+                !c5 +. (av *. Bigarray.Array1.unsafe_get bdata (b + (5 * v)));
+              c6 :=
+                !c6 +. (av *. Bigarray.Array1.unsafe_get bdata (b + (6 * v)));
+              c7 :=
+                !c7 +. (av *. Bigarray.Array1.unsafe_get bdata (b + (7 * v)))
+            end
           done
-        end
+        done;
+        Array.unsafe_set acc cj !c0;
+        Array.unsafe_set acc (cj + 1) !c1;
+        Array.unsafe_set acc (cj + 2) !c2;
+        Array.unsafe_set acc (cj + 3) !c3;
+        Array.unsafe_set acc (cj + 4) !c4;
+        Array.unsafe_set acc (cj + 5) !c5;
+        Array.unsafe_set acc (cj + 6) !c6;
+        Array.unsafe_set acc (cj + 7) !c7
+      done;
+      for j = tiles * 8 to n - 1 do
+        let c = ref (Array.unsafe_get acc (crow + j))
+        and bcol = bbase + (j * v) in
+        for q = 0 to kq - 1 do
+          let aq = arow + (q * v) and bq = bcol + (q * ldb) in
+          for r = 0 to v - 1 do
+            let av = Bigarray.Array1.unsafe_get adata (aq + r) in
+            if av <> 0.0 then
+              c := !c +. (av *. Bigarray.Array1.unsafe_get bdata (bq + r))
+          done
+        done;
+        Array.unsafe_set acc (crow + j) !c
       done
     done
 

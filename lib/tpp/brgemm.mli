@@ -7,10 +7,25 @@
     offset-based (explicit per-i offsets; used to fold convolution R/S
     loops), and address-based (arbitrary block list).
 
-    Accumulation is always FP32 (matching AMX/MMLA semantics); inputs may be
-    FP32 or BF16 (values already on the BF16 grid), and the store to C
-    quantizes to C's datatype. The B operand may be in flat [bk x bn] layout
-    or packed VNNI layout [bk/v][bn][v]. *)
+    Inputs may be FP32 or BF16 (values already on the BF16 grid); products
+    are accumulated in OCaml floats (FP64) and rounded once, when the store
+    to C quantizes to C's datatype. The B operand may be in flat [bk x bn]
+    layout or packed VNNI layout [bk/v][bn][v].
+
+    The body is a register-blocked microkernel. For each row of the C
+    block, eight consecutive columns are held in eight unboxed float
+    locals for the whole K loop of a batch step and written back once;
+    the [bn mod 8] leftover columns (all of them when [bn < 8]) get one
+    local each. Between batch steps the tile rests in an accumulator
+    array leased from the thread's {!Scratch} arena, so a warm call
+    allocates nothing. The VNNI walk splits K as [p = q*v + r] and reads
+    B at row [q], column [j*v + r], with no division per step.
+
+    Tiling changes where the partial sums live, not the order they are
+    formed in: every C element still receives its products in increasing
+    p within a block and blocks in batch order, and p is skipped where
+    A's element is 0 (so a zero in A never meets an infinity or NaN in
+    B). The result is bit-identical to the plain i-p-j loop. *)
 
 type b_layout = Flat | Vnni
 

@@ -231,6 +231,166 @@ let prop_brgemm_matches_reference =
         ~c:(Tensor.view2d c);
       Tensor.approx_equal ~tol:1e-4 c (Reference.matmul a b))
 
+(* The i-p-j loop BRGEMM ran before the register tile: it adds every
+   product straight into the accumulator array, in increasing p, and
+   skips p where A is 0. The tiled kernel must match it bit for bit. *)
+let ipj_accumulate ~m ~n ~k ~v acc (adata : Tensor.buffer) abase lda
+    (bdata : Tensor.buffer) bbase ldb =
+  for i = 0 to m - 1 do
+    let arow = abase + (i * lda) and crow = i * n in
+    for p = 0 to k - 1 do
+      let av = Bigarray.Array1.get adata (arow + p) in
+      if av <> 0.0 then begin
+        let brow = bbase + (p / v * ldb) + (p mod v) in
+        for j = 0 to n - 1 do
+          acc.(crow + j) <-
+            acc.(crow + j) +. (av *. Bigarray.Array1.get bdata (brow + (j * v)))
+        done
+      end
+    done
+  done
+
+(* the whole i-p-j BRGEMM over batch steps at [offs] (A, B element
+   offsets), storing into an F32 C *)
+let ipj_brgemm ~m ~n ~k ~v ~beta ~offs ~(a : Tensor.t) ~lda ~(b : Tensor.t)
+    ~ldb ~(c : Tensor.t) ~ldc =
+  let acc = Array.make (m * n) 0.0 in
+  if beta = 1.0 then
+    for i = 0 to m - 1 do
+      for j = 0 to n - 1 do
+        acc.((i * n) + j) <- Tensor.get_flat c ((i * ldc) + j)
+      done
+    done;
+  List.iter
+    (fun (oa, ob) -> ipj_accumulate ~m ~n ~k ~v acc a.data oa lda b.data ob ldb)
+    offs;
+  for i = 0 to m - 1 do
+    for j = 0 to n - 1 do
+      Bigarray.Array1.set c.data ((i * ldc) + j) acc.((i * n) + j)
+    done
+  done
+
+let test_brgemm_tile_bit_identical () =
+  let bits (t : Tensor.t) =
+    List.init (Tensor.numel t) (fun i ->
+        Int32.bits_of_float (Tensor.get_flat t i))
+  in
+  let case ~dtype ~m ~n ~k ~beta ~count ~entry =
+    let v = Datatype.vnni_factor dtype in
+    let b_layout = if v = 1 then Brgemm.Flat else Brgemm.Vnni in
+    let rng = Prng.create ((m * 10007) + (n * 101) + (k * 7) + count) in
+    (* A blocks side by side along a padded row; B blocks stacked, each
+       [k/v] rows of [n*v] (plus padding) *)
+    let lda = (count * k) + 1 and bcols = (n * v) + 2 in
+    let brows = k / v in
+    let a = Tensor.create dtype [| m; lda |] in
+    let b = Tensor.create dtype [| count * brows; bcols |] in
+    Tensor.fill_random a rng ~scale:1.0;
+    Tensor.fill_random b rng ~scale:1.0;
+    let set_a s i p x = Tensor.set_flat a ((i * lda) + (s * k) + p) x in
+    let set_b s p j x =
+      Tensor.set_flat b
+        ((((s * brows) + (p / v)) * bcols) + (j * v) + (p mod v))
+        x
+    in
+    (* in every block, A's column p = 0 is all zero where B's row p = 0
+       holds +inf / -inf / NaN, and A(i, 1) is zero on even rows *)
+    for s = 0 to count - 1 do
+      for i = 0 to m - 1 do
+        set_a s i 0 0.0;
+        if k > 1 && i mod 2 = 0 then set_a s i 1 0.0
+      done;
+      for j = 0 to n - 1 do
+        set_b s 0 j
+          (match j mod 3 with
+          | 0 -> Float.infinity
+          | 1 -> Float.neg_infinity
+          | _ -> Float.nan)
+      done
+    done;
+    (* products are exact in FP64 and short sums of them rarely round, so
+       the add order only shows where it cancels: in the first block, the
+       last row gets +2^60 at p = 3 and -2^60 at p = k - 1, and only the
+       terms summed after both survive *)
+    if k >= 5 then begin
+      set_a 0 (m - 1) 3 (2.0 ** 30.0);
+      set_a 0 (m - 1) (k - 1) (-.(2.0 ** 30.0));
+      for j = 0 to n - 1 do
+        set_b 0 3 j (2.0 ** 30.0);
+        set_b 0 (k - 1) j (2.0 ** 30.0)
+      done
+    end;
+    let ldc = n + 1 in
+    let c0 = Tensor.create Datatype.F32 [| m; ldc |] in
+    Tensor.fill_random c0 rng ~scale:1.0;
+    let expect = Tensor.copy c0 and got = Tensor.copy c0 in
+    (* batch order: ascending for the stride entries, rotated by one for the
+       offset and list entries *)
+    let steps =
+      match entry with
+      | `Flat | `Stride -> List.init count Fun.id
+      | `Offsets | `List -> List.init count (fun s -> (s + 1) mod count)
+    in
+    let offs = List.map (fun s -> (s * k, s * brows * bcols)) steps in
+    ipj_brgemm ~m ~n ~k ~v ~beta ~offs ~a ~lda ~b ~ldb:bcols ~c:expect ~ldc;
+    let ker =
+      Brgemm.compile (Brgemm.make_config ~dtype ~b_layout ~beta ~m ~n ~k ())
+    in
+    let va = Tensor.view_flat a ~off:0 ~rows:m ~cols:k ~ld:lda in
+    let vb = Tensor.view_flat b ~off:0 ~rows:brows ~cols:(n * v) ~ld:bcols in
+    let vc = Tensor.view_flat got ~off:0 ~rows:m ~cols:n ~ld:ldc in
+    (match entry with
+    | `Flat ->
+      Brgemm.exec_flat ker ~a ~a_off:0 ~lda ~b ~b_off:0 ~ldb:bcols ~c:got
+        ~c_off:0 ~ldc ~stride_a:k ~stride_b:(brows * bcols) ~count
+    | `Stride ->
+      Brgemm.exec_stride ker ~a:va ~b:vb ~c:vc ~stride_a:k
+        ~stride_b:(brows * bcols) ~count
+    | `Offsets ->
+      Brgemm.exec_offsets ker ~a:va ~b:vb ~c:vc
+        ~offs_a:(Array.of_list (List.map fst offs))
+        ~offs_b:(Array.of_list (List.map snd offs))
+    | `List ->
+      Brgemm.exec_list ker
+        ~ab:
+          (List.map
+             (fun (oa, ob) ->
+               ( Tensor.view_flat a ~off:oa ~rows:m ~cols:k ~ld:lda,
+                 Tensor.view_flat b ~off:ob ~rows:brows ~cols:(n * v)
+                   ~ld:bcols ))
+             offs)
+        ~c:vc);
+    if bits got <> bits expect then
+      Alcotest.failf "%s %dx%dx%d beta=%g count=%d (%s) differs from i-p-j"
+        (Datatype.to_string dtype) m n k beta count
+        (match entry with
+        | `Flat -> "exec_flat"
+        | `Stride -> "exec_stride"
+        | `Offsets -> "exec_offsets"
+        | `List -> "exec_list")
+  in
+  List.iter
+    (fun (dtype, ks) ->
+      List.iter
+        (fun m ->
+          List.iter
+            (fun n ->
+              List.iter
+                (fun k ->
+                  List.iter
+                    (fun beta ->
+                      List.iter
+                        (fun entry ->
+                          case ~dtype ~m ~n ~k ~beta
+                            ~count:(2 + ((m + n) mod 2))
+                            ~entry)
+                        [ `Flat; `Stride; `Offsets; `List ])
+                    [ 0.0; 1.0 ])
+                ks)
+            [ 1; 3; 4; 7; 8; 9; 13; 32; 40 ])
+        [ 1; 3; 8 ])
+    [ (Datatype.F32, [ 1; 5; 8 ]); (Datatype.BF16, [ 2; 6 ]) ]
+
 (* ---- spmm tpp ---- *)
 
 let test_spmm_tpp_block_row () =
@@ -489,7 +649,40 @@ let test_brgemm_hot_loop_allocates_nothing () =
   let delta = Gc.minor_words () -. before in
   if delta > 64.0 then
     Alcotest.failf "BRGEMM hot loop allocated %.0f minor words / 200 execs"
-      delta
+      delta;
+  (* a warm call allocates nothing at all, for the full register tile,
+     the VNNI walk and both column tails: a boxed tile accumulator would
+     cost words per multiply-add *)
+  List.iter
+    (fun (dtype, m, n, k) ->
+      let v = Datatype.vnni_factor dtype in
+      let b_layout = if v = 1 then Brgemm.Flat else Brgemm.Vnni in
+      let a = random_tensor ~dtype rng m k in
+      let b = random_tensor ~dtype rng (k / v) (n * v) in
+      let c = Tensor.create Datatype.F32 [| m; n |] in
+      let ker =
+        Brgemm.compile
+          (Brgemm.make_config ~dtype ~b_layout ~beta:1.0 ~m ~n ~k ())
+      in
+      let exec () =
+        Brgemm.exec_flat ker ~a ~a_off:0 ~lda:k ~b ~b_off:0 ~ldb:(n * v) ~c
+          ~c_off:0 ~ldc:n ~stride_a:0 ~stride_b:0 ~count:2
+      in
+      exec ();
+      let base = Gc.minor_words () in
+      let overhead = Gc.minor_words () -. base in
+      let before = Gc.minor_words () in
+      exec ();
+      let delta = Gc.minor_words () -. before -. overhead in
+      if delta <> 0.0 then
+        Alcotest.failf "warm %s %dx%dx%d BRGEMM allocated %.0f minor words"
+          (Datatype.to_string dtype) m n k delta)
+    [
+      (Datatype.F32, 32, 32, 32);
+      (Datatype.BF16, 32, 32, 32);
+      (Datatype.F32, 8, 1, 8);
+      (Datatype.F32, 1, 13, 32);
+    ]
 
 let test_brgemm_list_empty_beta0_zero_fills () =
   let c = tensor_of 3 3 (fun _ _ -> 7.0) in
@@ -637,6 +830,8 @@ let () =
           Alcotest.test_case "address list" `Quick test_brgemm_list;
           Alcotest.test_case "vnni" `Quick test_brgemm_vnni;
           qt prop_brgemm_matches_reference;
+          Alcotest.test_case "register tile == i-p-j (bit-identical)" `Quick
+            test_brgemm_tile_bit_identical;
         ] );
       ("spmm", [ Alcotest.test_case "block row" `Quick test_spmm_tpp_block_row ]);
       ( "blocks",
